@@ -126,15 +126,14 @@ class PipelineConfig:
     curation: CurationConfig = field(default_factory=CurationConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     seed: int = 0
-    n_threads: int = 1
     #: execution backend for the parallel stages (featurize, LF
-    #: application, graph build); the default serial/1-worker config
-    #: defers to the legacy ``n_threads`` knob
+    #: application, graph build)
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     #: rows per shard for the out-of-core featurize path
     #: (:mod:`repro.shards`); ``None`` keeps tables fully in memory.
-    #: Requires a checkpointed run (shards live in its artifact store);
-    #: values are bit-identical either way.
+    #: Requires a checkpointed run (shards live in its artifact store;
+    #: :meth:`CrossModalPipeline.run` raises without one); values are
+    #: bit-identical either way.
     shard_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -147,16 +146,3 @@ class PipelineConfig:
                 f"shard_size must be a positive row count or None, "
                 f"got {self.shard_size}"
             )
-
-    def effective_executor(self) -> ExecutorConfig:
-        """The executor the pipeline actually runs with.
-
-        An explicitly configured backend wins; the default config plus
-        ``n_threads > 1`` keeps the pre-executor behaviour (a thread
-        pool of ``n_threads`` workers).
-        """
-        if self.executor != ExecutorConfig():
-            return self.executor
-        if self.n_threads > 1:
-            return ExecutorConfig(backend="thread", workers=self.n_threads)
-        return self.executor

@@ -20,7 +20,11 @@ pipeline at their step (the paper's production requirement §2.3);
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import copy
+import tempfile
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,13 +37,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.policy import ResiliencePolicy
     from repro.runs.checkpoint import RunCheckpointer
     from repro.runs.manifest import RunManifest
-    from repro.runs.store import RunStore
 from repro.core.exceptions import ConfigurationError, RepairError
 from repro.core.rng import derive_seed, spawn
 from repro.exec import ExecutorConfig
 from repro.datagen.corpus import Corpus, CorpusSplits
 from repro.datagen.entities import Modality
 from repro.datagen.world import TaskRuntime, World
+from repro.features.io import table_from_dict, table_to_dict
 from repro.features.schema import FeatureSchema
 from repro.features.table import FeatureTable
 from repro.labeling.analysis import WeakLabelQuality, weak_label_quality
@@ -63,110 +67,12 @@ from repro.propagation.streaming import StreamingLabelPropagation
 from repro.resources.catalog import ResourceCatalog
 from repro.resources.featurize import featurize_corpus
 from repro.resources.service_sets import IMAGE_SET
+from repro.runs import codecs
+from repro.runs.progress import ProgressManifest, job_key
+from repro.runs.store import RunStore
+from repro.shards.table import DENSE_KIND, MANIFEST_KIND, ROWS_KIND, ShardedTable
 
 __all__ = ["CrossModalPipeline", "CurationResult", "PipelineResult"]
-
-
-# ----------------------------------------------------------------------
-# stage codecs (shared by checkpointed runs and lineage repair)
-#
-# A repaired artifact must hash bit-identically to the original, so the
-# checkpoint path and the offline replay path must encode through the
-# exact same functions.  Imports are lazy: repro.runs.codecs imports
-# this module for CurationResult.
-# ----------------------------------------------------------------------
-def _encode_feature_tables(tables: dict[str, FeatureTable]) -> dict:
-    from repro.features.io import table_to_dict
-
-    return {
-        key: ("feature_table", table_to_dict(table)) for key, table in tables.items()
-    }
-
-
-def _decode_feature_tables(payloads: dict) -> dict[str, FeatureTable]:
-    from repro.features.io import table_from_dict
-
-    return {key: table_from_dict(data) for key, data in payloads.items()}
-
-
-def _encode_sharded_tables(tables: dict) -> dict:
-    """Checkpoint encoding of a sharded featurize stage.
-
-    Every shard artifact becomes a stage artifact — ``text`` carries the
-    manifest (whose hash chains over the shard hashes, so downstream
-    fingerprints stay Merkle-pinned), ``text/shard00003`` the rows part
-    and ``text/shard00003.dense`` the binary dense part of shard 3.
-    Listing the shards individually is what lets ``scrub --repair``
-    audit and heal exactly the damaged shard.  Re-reading the payloads
-    here is O(corpus) at the stage boundary; the streaming plane
-    (:mod:`repro.shards.stages`) never goes through this codec.
-    """
-    from repro.shards.table import DENSE_KIND, MANIFEST_KIND, ROWS_KIND
-
-    out: dict = {}
-    for key, sharded in tables.items():
-        out[key] = (MANIFEST_KIND, sharded.manifest)
-        for index in range(sharded.n_shards):
-            rows_ref, dense_ref = sharded.shard_refs(index)
-            out[f"{key}/shard{index:05d}"] = (
-                ROWS_KIND,
-                sharded.reader.read_json(rows_ref),
-            )
-            if dense_ref is not None:
-                out[f"{key}/shard{index:05d}.dense"] = (
-                    DENSE_KIND,
-                    sharded.reader.read_bytes(dense_ref),
-                )
-    return out
-
-
-def _decode_sharded_tables(payloads: dict, store: "RunStore") -> dict:
-    """Rebind manifest payloads to :class:`ShardedTable` handles (the
-    per-shard payloads ride along for repair; the handles re-read them
-    through the verifying store path on demand)."""
-    from repro.shards.table import ShardedTable
-
-    return {
-        key: ShardedTable(store, doc)
-        for key, doc in payloads.items()
-        if "/" not in key
-    }
-
-
-def _encode_curation_stage(curation: "CurationResult") -> dict:
-    from repro.runs import codecs
-
-    return {"curation": ("curation_result", codecs.encode_curation(curation))}
-
-
-def _decode_curation_stage(payloads: dict) -> "CurationResult":
-    from repro.runs import codecs
-
-    return codecs.decode_curation(payloads["curation"])
-
-
-def _encode_train_stage(model: object) -> dict:
-    from repro.runs import codecs
-
-    return {"model": ("fusion_model", codecs.encode_model(model))}
-
-
-def _decode_train_stage(payloads: dict) -> object:
-    from repro.runs import codecs
-
-    return codecs.decode_model(payloads["model"])
-
-
-def _encode_evaluate_stage(pair: tuple) -> dict:
-    from repro.runs import codecs
-
-    return {"evaluation": ("evaluation", codecs.encode_evaluation(pair[0], pair[1]))}
-
-
-def _decode_evaluate_stage(payloads: dict) -> tuple:
-    from repro.runs import codecs
-
-    return codecs.decode_evaluation(payloads["evaluation"])
 
 
 @dataclass
@@ -239,9 +145,7 @@ class CrossModalPipeline:
         #: resolved execution backend for the parallel stages; a live
         #: injected executor (e.g. a multi-tenant fair-queue lane) wins
         #: over the config
-        self.executor = (
-            executor if executor is not None else self.config.effective_executor()
-        )
+        self.executor = executor if executor is not None else self.config.executor
         # LF closures capture mined predicates and cannot pickle, so LF
         # application caps out at the thread backend even when the rest
         # of the pipeline runs on processes.
@@ -270,7 +174,6 @@ class CrossModalPipeline:
             list(self.catalog),
             seed=derive_seed(self.config.seed, "featurize"),
             include_labels=include_labels,
-            n_threads=self.config.n_threads,
             policy=self.resilience,
             executor=self.executor,
         )
@@ -278,9 +181,9 @@ class CrossModalPipeline:
     def featurize_sharded(
         self,
         corpus: Corpus,
-        store: "RunStore",
+        store: RunStore,
         include_labels: bool = False,
-        progress: object | None = None,
+        progress: "ProgressManifest | None" = None,
         tag: str = "table",
     ):
         """Out-of-core variant of :meth:`featurize` (``shard_size`` set).
@@ -304,7 +207,6 @@ class CrossModalPipeline:
             self.config.shard_size,
             seed=derive_seed(self.config.seed, "featurize"),
             include_labels=include_labels,
-            n_threads=self.config.n_threads,
             policy=self.resilience,
             executor=self.executor,
             progress=progress,
@@ -396,14 +298,8 @@ class CrossModalPipeline:
                 "enable mining or propagation, or loosen thresholds"
             )
 
-        matrix = apply_lfs(
-            lfs, image_aug, n_threads=self.config.n_threads,
-            executor=self._lf_executor,
-        )
-        dev_matrix = apply_lfs(
-            lfs, dev_aug, n_threads=self.config.n_threads,
-            executor=self._lf_executor,
-        )
+        matrix = apply_lfs(lfs, image_aug, executor=self._lf_executor)
+        dev_matrix = apply_lfs(lfs, dev_aug, executor=self._lf_executor)
         if cfg.use_generative_model:
             # anchor the LF conditional tables to their old-modality
             # dev-set estimates (§4.2: labeled data of existing
@@ -697,196 +593,61 @@ class CrossModalPipeline:
         run is bit-identical to an uninterrupted one.
         """
         cfg = self.config
-        timings: dict[str, float] = {}
-        resumed: list[str] = []
-        sharded = checkpoint is not None and cfg.shard_size is not None
+        if cfg.shard_size is not None and checkpoint is None:
+            raise ConfigurationError(
+                "shard_size requires a checkpointed run (CLI: --run-dir): "
+                "shard artifacts live in the run's content-hashed store"
+            )
         if cfg.shard_size is not None and self.resilience is not None:
             raise ConfigurationError(
                 "shard_size cannot be combined with a resilience policy: "
                 "sharded featurize does not carry per-run degradation "
                 "reports — run resilience regimes unsharded"
             )
-
-        # ----- stage A: feature generation ----------------------------
-        def compute_featurize() -> dict[str, FeatureTable]:
-            return {
-                "text": self.featurize(splits.text_labeled, include_labels=True),
-                "image": self.featurize(splits.image_unlabeled, include_labels=False),
-                "test": self.featurize(splits.image_test, include_labels=True),
-            }
-
-        def compute_featurize_sharded() -> dict:
-            from repro.shards import ShardProgress
-            from repro.shards.stages import _job_key
-
-            assert checkpoint is not None
-            out = {}
-            for key, corpus, labeled in (
-                ("text", splits.text_labeled, True),
-                ("image", splits.image_unlabeled, False),
-                ("test", splits.image_test, True),
-            ):
-                progress = ShardProgress(
-                    checkpoint.store.root / f"shards-featurize-{key}.json",
-                    job_key=_job_key({**feat_config, "split": key}),
-                )
-                out[key] = self.featurize_sharded(
-                    corpus,
-                    checkpoint.store,
-                    include_labels=labeled,
-                    progress=progress,
-                    tag=key,
-                )
-            return out
-
-        feat_hashes: dict[str, str] = {}
-        with obs.timed("featurize", task=self.task.name) as t:
-            if checkpoint is None:
-                tables = compute_featurize()
-            else:
-                feat_config: dict = {
-                    "seed": cfg.seed,
-                    "derived_seed": derive_seed(cfg.seed, "featurize"),
-                    "features": sorted(self.schema.names),
-                }
-                if self.resilience_context is not None:
-                    # degradation regime (fault seeds, availability,
-                    # retry/deadline budgets) changes featurized values,
-                    # so it invalidates the checkpoint like a seed does
-                    feat_config["resilience"] = self.resilience_context
-                if sharded:
-                    # a sharded and an unsharded run lay artifacts out
-                    # incompatibly, so they must not replay each other
-                    feat_config["shard_size"] = cfg.shard_size
-                    outcome = checkpoint.stage(
-                        "featurize",
-                        config=feat_config,
-                        compute=compute_featurize_sharded,
-                        encode=_encode_sharded_tables,
-                        decode=lambda payloads: _decode_sharded_tables(
-                            payloads, checkpoint.store
-                        ),
-                    )
-                    tables = {
-                        key: handle.to_table()
-                        for key, handle in outcome.value.items()
-                    }
-                    # downstream fingerprints chain over the manifest
-                    # hashes only — each already pins its shard hashes
-                    feat_hashes = {
-                        key: digest
-                        for key, digest in outcome.artifact_hashes.items()
-                        if "/" not in key
-                    }
+        store = checkpoint.store if checkpoint is not None else None
+        timings: dict[str, float] = {}
+        resumed: list[str] = []
+        # in-memory artifact values and (checkpointed) their content
+        # hashes, by artifact key
+        values: dict[str, object] = {}
+        hashes: dict[str, str] = {}
+        for stage in _STAGES:
+            compute = partial(stage.compute, self, splits, values.__getitem__, store)
+            with obs.timed(stage.name, task=self.task.name) as t:
+                if checkpoint is None:
+                    value = compute()
                 else:
                     outcome = checkpoint.stage(
-                        "featurize",
-                        config=feat_config,
-                        compute=compute_featurize,
-                        encode=_encode_feature_tables,
-                        decode=_decode_feature_tables,
+                        stage.name,
+                        config=stage.fingerprint_config(self, hashes),
+                        compute=compute,
+                        encode=stage.encode,
+                        decode=partial(stage.decode, store=store),
                     )
-                    tables = outcome.value
-                    feat_hashes = outcome.artifact_hashes
-                if outcome.reused:
-                    resumed.append("featurize")
-        timings["featurize"] = t.duration
-        text_table = tables["text"]
-        image_table = tables["image"]
-        test_table = tables["test"]
+                    value = outcome.value
+                    # downstream fingerprints chain over top-level
+                    # artifacts only — a sharded table's manifest hash
+                    # already pins its shard hashes
+                    hashes.update(
+                        (key, digest)
+                        for key, digest in outcome.artifact_hashes.items()
+                        if "/" not in key
+                    )
+                    if outcome.reused:
+                        resumed.append(stage.name)
+                values.update(stage.materialize(value))
+            timings[stage.name] = t.duration
 
-        # ----- stage B: training-data curation -------------------------
-        curation_hash: dict[str, str] = {}
-        with obs.timed("curate", task=self.task.name) as t:
-            if checkpoint is None:
-                curation = self.curate(text_table, image_table)
-            else:
-                outcome = checkpoint.stage(
-                    "curate",
-                    config={
-                        "curation": asdict(cfg.curation),
-                        # the full graph config: approximation changes
-                        # results, so backend + parameters invalidate
-                        # the checkpoint (exec backends do not)
-                        "graph": asdict(self.graph_config()),
-                        "lf_service_sets": list(cfg.lf_service_sets),
-                        "seed": cfg.seed,
-                        "derived_seed": derive_seed(cfg.seed, "curate"),
-                        "inputs": {
-                            key: feat_hashes[key]
-                            for key in ("text", "image")
-                            if key in feat_hashes
-                        },
-                    },
-                    compute=lambda: self.curate(text_table, image_table),
-                    encode=_encode_curation_stage,
-                    decode=_decode_curation_stage,
-                )
-                curation = outcome.value
-                curation_hash = outcome.artifact_hashes
-                if outcome.reused:
-                    resumed.append("curate")
-            t.span.add_counter("n_lfs", len(curation.lfs))
-        timings["curate"] = t.duration
-
-        # ----- stage C: model training ---------------------------------
-        model_hash: dict[str, str] = {}
-        with obs.timed("train", task=self.task.name) as t:
-            if checkpoint is None:
-                model = self.train(text_table, curation)
-            else:
-                outcome = checkpoint.stage(
-                    "train",
-                    config={
-                        "training": asdict(cfg.training),
-                        "model_service_sets": list(cfg.model_service_sets),
-                        "include_image_features": cfg.include_image_features,
-                        "drop_uncovered": cfg.curation.drop_uncovered,
-                        "derived_seed": derive_seed(cfg.seed, "model"),
-                        "inputs": {**feat_hashes, **curation_hash},
-                    },
-                    compute=lambda: self.train(text_table, curation),
-                    encode=_encode_train_stage,
-                    decode=_decode_train_stage,
-                )
-                model = outcome.value
-                model_hash = outcome.artifact_hashes
-                if outcome.reused:
-                    resumed.append("train")
-        timings["train"] = t.duration
-
-        # ----- stage D: evaluation -------------------------------------
-        with obs.timed("evaluate", task=self.task.name) as t:
-            if checkpoint is None:
-                metrics, scores = self.evaluate(model, test_table)
-            else:
-                outcome = checkpoint.stage(
-                    "evaluate",
-                    config={
-                        "model_service_sets": list(cfg.model_service_sets),
-                        "include_image_features": cfg.include_image_features,
-                        "inputs": {
-                            **{k: v for k, v in feat_hashes.items() if k == "test"},
-                            **model_hash,
-                        },
-                    },
-                    compute=lambda: self.evaluate(model, test_table),
-                    encode=_encode_evaluate_stage,
-                    decode=_decode_evaluate_stage,
-                )
-                metrics, scores = outcome.value
-                if outcome.reused:
-                    resumed.append("evaluate")
-        timings["evaluate"] = t.duration
-
+        curation = values["curation"]
+        metrics, scores = values["evaluation"]
         return PipelineResult(
             metrics=metrics,
             curation=curation,
-            model=model,
+            model=values["model"],
             tables={
-                "text": text_table,
-                "image_unlabeled": curation.image_table_augmented or image_table,
-                "test": test_table,
+                "text": values["text"],
+                "image_unlabeled": curation.image_table_augmented or values["image"],
+                "test": values["test"],
             },
             timings=timings,
             test_scores=scores,
@@ -900,123 +661,291 @@ class CrossModalPipeline:
         self,
         name: str,
         manifest: "RunManifest",
-        store: "RunStore",
+        store: RunStore,
         splits: CorpusSplits,
     ) -> dict:
         """Offline replay of one recorded stage, for lineage repair.
 
         Recomputes stage ``name`` exactly as a checkpointed :meth:`run`
-        would — same derived seeds, same codecs — reading its upstream
-        inputs from ``store`` (the :class:`~repro.runs.repair.RepairEngine`
-        heals those first).  Returns the stage's checkpoint encoding
-        ``{artifact: (kind, payload)}``; the caller verifies the encoded
-        bytes hash to the recorded references before restoring anything.
+        would — same stage declaration, derived seeds, and codecs —
+        reading its upstream inputs from ``store`` (the
+        :class:`~repro.runs.repair.RepairEngine` heals those first).
+        Returns the stage's checkpoint encoding ``{artifact: (kind,
+        payload)}``; the caller verifies the encoded bytes hash to the
+        recorded references before restoring anything.  Outputs the
+        stage writes while computing (sharded featurize's shards) go to
+        a scratch store, so a divergent replay leaves no orphans in the
+        real one.
 
         The pipeline must be constructed with the run's exact
-        configuration, or the rebuilt bytes will (correctly) fail the
-        repair oracle.  Raises :class:`RepairError` for stages that
-        cannot be replayed offline — notably a featurize stage recorded
-        under a resilience degradation regime, whose injected service
-        faults this replay has no policy to reproduce.
+        configuration (the recorded ``shard_size`` is applied here), or
+        the rebuilt bytes will (correctly) fail the repair oracle.
+        Raises :class:`RepairError` for stages that cannot be replayed
+        offline — notably a featurize stage recorded under a resilience
+        degradation regime, whose injected service faults this replay
+        has no policy to reproduce.
         """
         record = manifest.stages.get(name)
         if record is None:
             raise RepairError(f"run manifest records no stage {name!r} to replay")
-
-        if name == "featurize":
-            config = record.config if isinstance(record.config, dict) else {}
-            if "resilience" in config and self.resilience is None:
-                raise RepairError(
-                    "featurize stage was recorded under a resilience degradation "
-                    "regime; offline repair cannot reproduce injected service "
-                    "faults — re-run the experiment in a fresh --run-dir instead"
-                )
-            shard_size = config.get("shard_size")
-            if shard_size is not None:
-                # rebuild the shards in a scratch store so a divergent
-                # replay leaves no orphans in the real one; the repair
-                # oracle verifies the encoded bytes before restoring
-                import tempfile
-
-                from repro.runs.store import RunStore as _ScratchStore
-                from repro.shards import featurize_corpus_sharded
-
-                seed = derive_seed(self.config.seed, "featurize")
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-shard-replay-"
-                ) as scratch:
-                    scratch_store = _ScratchStore(scratch)
-                    return _encode_sharded_tables(
-                        {
-                            key: featurize_corpus_sharded(
-                                corpus,
-                                list(self.catalog),
-                                scratch_store,
-                                int(shard_size),
-                                seed=seed,
-                                include_labels=labeled,
-                                n_threads=self.config.n_threads,
-                                executor=self.executor,
-                                tag=key,
-                            )
-                            for key, corpus, labeled in (
-                                ("text", splits.text_labeled, True),
-                                ("image", splits.image_unlabeled, False),
-                                ("test", splits.image_test, True),
-                            )
-                        }
-                    )
-            return _encode_feature_tables(
-                {
-                    "text": self.featurize(splits.text_labeled, include_labels=True),
-                    "image": self.featurize(
-                        splits.image_unlabeled, include_labels=False
-                    ),
-                    "test": self.featurize(splits.image_test, include_labels=True),
-                }
+        stage = _STAGE_BY_NAME.get(name)
+        if stage is None:
+            raise RepairError(
+                f"stage {name!r} has no offline replay; repairable stages are "
+                f"{', '.join(s.name for s in _STAGES)}"
             )
+        config = record.config if isinstance(record.config, dict) else {}
+        if "resilience" in config and self.resilience is None:
+            raise RepairError(
+                f"{name} stage was recorded under a resilience degradation "
+                "regime; offline repair cannot reproduce injected service "
+                "faults — re-run the experiment in a fresh --run-dir instead"
+            )
+        # replay under the recorded shard layout: featurize records its
+        # shard size (absent = in memory), and a repair pipeline rebuilt
+        # from the recorded stage configs may not carry it
+        pipeline = self
+        if config.get("shard_size") != self.config.shard_size:
+            pipeline = copy.copy(self)
+            pipeline.config = replace(self.config, shard_size=config.get("shard_size"))
 
-        def upstream_ref(stage: str, key: str):
-            upstream_record = manifest.stages.get(stage)
+        def upstream(key: str) -> object:
+            producer = _PRODUCER_OF[key]
+            upstream_record = manifest.stages.get(producer.name)
             if upstream_record is None:
                 raise RepairError(
-                    f"replaying stage {name!r} needs the {stage!r} record, "
-                    f"which the manifest lacks"
+                    f"replaying stage {name!r} needs the {producer.name!r} "
+                    f"record, which the manifest lacks"
                 )
             ref = upstream_record.artifacts.get(key)
             if ref is None:
                 raise RepairError(
                     f"replaying stage {name!r} needs artifact {key!r} of "
-                    f"stage {stage!r}, which its record does not list"
+                    f"stage {producer.name!r}, which its record does not list"
                 )
-            return ref
+            value = producer.decode({key: store.get_json(ref)}, store)
+            return producer.materialize(value)[key]
 
-        def upstream(stage: str, key: str) -> object:
-            return store.get_json(upstream_ref(stage, key))
+        with tempfile.TemporaryDirectory(prefix="repro-stage-replay-") as scratch:
+            value = stage.compute(pipeline, splits, upstream, RunStore(scratch))
+            return stage.encode(value)
 
-        def feature_table(key: str) -> FeatureTable:
-            from repro.features.io import table_from_dict
-            from repro.shards.table import MANIFEST_KIND, ShardedTable
 
-            ref = upstream_ref("featurize", key)
-            doc = store.get_json(ref)
-            if ref.kind == MANIFEST_KIND:  # sharded run: materialize
-                return ShardedTable(store, doc).to_table()
-            return table_from_dict(doc)
+# ----------------------------------------------------------------------
+# the stage table
+#
+# Each stage is declared once; CrossModalPipeline.run and
+# recompute_stage both drive it.  A repaired artifact must hash
+# bit-identically to the original, so the checkpoint path and the
+# offline replay path go through the exact same config, compute, and
+# codec functions.  Stage values are ``{artifact key: value}`` dicts,
+# and artifact keys are unique across stages, so ``get(key)`` names an
+# upstream input unambiguously.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Stage:
+    """One pipeline step: fingerprint slice, inputs, compute, codec."""
 
-        if name == "curate":
-            return _encode_curation_stage(
-                self.curate(feature_table("text"), feature_table("image"))
-            )
-        if name == "train":
-            curation = _decode_curation_stage(
-                {"curation": upstream("curate", "curation")}
-            )
-            return _encode_train_stage(self.train(feature_table("text"), curation))
-        if name == "evaluate":
-            model = _decode_train_stage({"model": upstream("train", "model")})
-            return _encode_evaluate_stage(self.evaluate(model, feature_table("test")))
-        raise RepairError(
-            f"stage {name!r} has no offline replay; repairable stages are "
-            f"featurize, curate, train, and evaluate"
+    name: str
+    #: artifact keys the stage produces
+    outputs: tuple[str, ...]
+    #: upstream artifact keys whose hashes the fingerprint chains over
+    #: (recorded as ``config["inputs"]``; the repair engine heals them
+    #: before a replay)
+    inputs: tuple[str, ...]
+    #: the fingerprint config slice, minus ``inputs``
+    config: Callable[[CrossModalPipeline], dict]
+    #: ``(pipeline, splits, get, store) -> {artifact key: value}``;
+    #: ``get(key)`` returns an upstream artifact's value, ``store``
+    #: receives out-of-core outputs (None for an in-memory run)
+    compute: Callable[..., dict]
+    #: value -> ``{artifact: (kind, payload)}``
+    encode: Callable[[dict], dict]
+    #: ``(payloads, store)`` -> value; inverts :attr:`encode`
+    decode: Callable[[dict, RunStore], dict]
+    #: value -> the in-memory form downstream stages consume
+    materialize: Callable[[dict], dict] = dict
+
+    def fingerprint_config(
+        self, pipeline: CrossModalPipeline, hashes: dict[str, str]
+    ) -> dict:
+        config = self.config(pipeline)
+        if self.inputs:
+            config["inputs"] = {key: hashes[key] for key in self.inputs}
+        return config
+
+
+#: (artifact key, ``CorpusSplits`` field, include labels) per featurized corpus
+_FEATURIZE_SPLITS = (
+    ("text", "text_labeled", True),
+    ("image", "image_unlabeled", False),
+    ("test", "image_test", True),
+)
+
+
+def _featurize_config(p: CrossModalPipeline) -> dict:
+    config: dict = {
+        "seed": p.config.seed,
+        "derived_seed": derive_seed(p.config.seed, "featurize"),
+        "features": sorted(p.schema.names),
+    }
+    if p.resilience_context is not None:
+        # degradation regime (fault seeds, availability, retry/deadline
+        # budgets) changes featurized values, so it invalidates the
+        # checkpoint like a seed does
+        config["resilience"] = p.resilience_context
+    if p.config.shard_size is not None:
+        # a sharded and an unsharded run lay artifacts out incompatibly,
+        # so they must not replay each other
+        config["shard_size"] = p.config.shard_size
+    return config
+
+
+def _featurize(p: CrossModalPipeline, splits: CorpusSplits, get, store) -> dict:
+    """In-memory tables, or — with ``shard_size`` — sharded tables in
+    ``store``, each split resumable shard by shard."""
+    out: dict = {}
+    for key, split, labeled in _FEATURIZE_SPLITS:
+        corpus = getattr(splits, split)
+        if p.config.shard_size is None:
+            out[key] = p.featurize(corpus, include_labels=labeled)
+            continue
+        progress = ProgressManifest(
+            store.root / f"shards-featurize-{key}.json",
+            job_key({**_featurize_config(p), "split": key}),
         )
+        out[key] = p.featurize_sharded(
+            corpus, store, include_labels=labeled, progress=progress, tag=key
+        )
+    return out
+
+
+def _encode_feature_tables(tables: dict) -> dict:
+    """Checkpoint encoding of the featurize stage.
+
+    An in-memory table is one ``feature_table`` artifact.  For a sharded
+    table every shard artifact becomes a stage artifact — ``text``
+    carries the manifest (whose hash chains over the shard hashes, so
+    downstream fingerprints stay Merkle-pinned), ``text/shard00003`` the
+    rows part and ``text/shard00003.dense`` the binary dense part of
+    shard 3.  Listing the shards individually is what lets ``scrub
+    --repair`` audit and heal exactly the damaged shard.  Re-reading the
+    payloads here is O(corpus) at the stage boundary; the streaming
+    plane (:mod:`repro.shards.stages`) never goes through this codec.
+    """
+    out: dict = {}
+    for key, table in tables.items():
+        if isinstance(table, FeatureTable):
+            out[key] = ("feature_table", table_to_dict(table))
+            continue
+        out[key] = (MANIFEST_KIND, table.manifest)
+        for index in range(table.n_shards):
+            rows_ref, dense_ref = table.shard_refs(index)
+            out[f"{key}/shard{index:05d}"] = (
+                ROWS_KIND,
+                table.reader.read_json(rows_ref),
+            )
+            if dense_ref is not None:
+                out[f"{key}/shard{index:05d}.dense"] = (
+                    DENSE_KIND,
+                    table.reader.read_bytes(dense_ref),
+                )
+    return out
+
+
+def _decode_feature_tables(payloads: dict, store: RunStore) -> dict:
+    """Tables from their payloads; sharded-table manifests rebind to
+    :class:`~repro.shards.table.ShardedTable` handles (the per-shard
+    payloads ride along for repair; the handles re-read them through the
+    verifying store path on demand)."""
+    return {
+        key: ShardedTable(store, doc) if "shards" in doc else table_from_dict(doc)
+        for key, doc in payloads.items()
+        if "/" not in key
+    }
+
+
+def _materialize_tables(tables: dict) -> dict:
+    return {
+        key: table if isinstance(table, FeatureTable) else table.to_table()
+        for key, table in tables.items()
+    }
+
+
+def _one_artifact(key: str, kind: str, encode, decode) -> dict:
+    """``outputs``/``encode``/``decode`` of a stage with one artifact."""
+    return {
+        "outputs": (key,),
+        "encode": lambda value: {key: (kind, encode(value[key]))},
+        "decode": lambda payloads, store: {key: decode(payloads[key])},
+    }
+
+
+_STAGES: tuple[_Stage, ...] = (
+    _Stage(
+        name="featurize",
+        outputs=tuple(key for key, _, _ in _FEATURIZE_SPLITS),
+        inputs=(),
+        config=_featurize_config,
+        compute=_featurize,
+        encode=_encode_feature_tables,
+        decode=_decode_feature_tables,
+        materialize=_materialize_tables,
+    ),
+    _Stage(
+        name="curate",
+        inputs=("text", "image"),
+        config=lambda p: {
+            "curation": asdict(p.config.curation),
+            # the full graph config: approximation changes results, so
+            # backend + parameters invalidate the checkpoint (exec
+            # backends do not)
+            "graph": asdict(p.graph_config()),
+            "lf_service_sets": list(p.config.lf_service_sets),
+            "seed": p.config.seed,
+            "derived_seed": derive_seed(p.config.seed, "curate"),
+        },
+        compute=lambda p, splits, get, store: {
+            "curation": p.curate(get("text"), get("image"))
+        },
+        **_one_artifact(
+            "curation", "curation_result", codecs.encode_curation, codecs.decode_curation
+        ),
+    ),
+    _Stage(
+        name="train",
+        # every featurize hash, in artifact-name order (recorded runs
+        # chain over all three, so the fingerprint keeps them)
+        inputs=("image", "test", "text", "curation"),
+        config=lambda p: {
+            "training": asdict(p.config.training),
+            "model_service_sets": list(p.config.model_service_sets),
+            "include_image_features": p.config.include_image_features,
+            "drop_uncovered": p.config.curation.drop_uncovered,
+            "derived_seed": derive_seed(p.config.seed, "model"),
+        },
+        compute=lambda p, splits, get, store: {
+            "model": p.train(get("text"), get("curation"))
+        },
+        **_one_artifact("model", "fusion_model", codecs.encode_model, codecs.decode_model),
+    ),
+    _Stage(
+        name="evaluate",
+        inputs=("test", "model"),
+        config=lambda p: {
+            "model_service_sets": list(p.config.model_service_sets),
+            "include_image_features": p.config.include_image_features,
+        },
+        compute=lambda p, splits, get, store: {
+            "evaluation": p.evaluate(get("model"), get("test"))
+        },
+        **_one_artifact(
+            "evaluation",
+            "evaluation",
+            lambda pair: codecs.encode_evaluation(*pair),
+            codecs.decode_evaluation,
+        ),
+    ),
+)
+_STAGE_BY_NAME = {stage.name: stage for stage in _STAGES}
+_PRODUCER_OF = {key: stage for stage in _STAGES for key in stage.outputs}

@@ -9,6 +9,5 @@ pipeline scales across local threads when corpora grow.
 """
 
 from repro.dataflow.mapreduce import MapReduceJob, run_map, run_mapreduce
-from repro.dataflow.plan import Stage, StagePlan
 
-__all__ = ["MapReduceJob", "Stage", "StagePlan", "run_map", "run_mapreduce"]
+__all__ = ["MapReduceJob", "run_map", "run_mapreduce"]

@@ -15,8 +15,7 @@ Determinism: values arrive at the reducer in (partition, input-order)
 order regardless of scheduling, so jobs are reproducible — and since
 every partition is an independent pure task, the job computes the
 byte-identical result on the serial, thread, and process backends of
-:mod:`repro.exec` (``executor=`` selects one; the legacy ``n_threads``
-maps onto the thread backend).
+:mod:`repro.exec` (``executor=`` selects one).
 
 Robustness: ``record_retries`` re-runs a failing mapper call on the
 same record (for mappers that call flaky services), and
@@ -187,7 +186,6 @@ class MapReduceJob:
     reducer: Reducer
     combiner: Combiner | None = None
     n_partitions: int = 8
-    n_threads: int = 1
     record_retries: int = 0
     skip_bad_records: bool = False
     counters: dict[str, int] = field(default_factory=dict)
@@ -196,15 +194,12 @@ class MapReduceJob:
     #: (same checkpoint ``job_key``) loads finished partitions from disk
     checkpoint: PartitionCheckpointer | None = None
     #: execution backend for the map phase: an :class:`Executor`, an
-    #: :class:`ExecutorConfig`, a backend name, or ``None`` (legacy
-    #: ``n_threads`` behaviour)
+    #: :class:`ExecutorConfig`, a backend name, or ``None`` (serial)
     executor: Executor | ExecutorConfig | str | None = None
 
     def __post_init__(self) -> None:
         if self.n_partitions < 1:
             raise ConfigurationError("n_partitions must be >= 1")
-        if self.n_threads < 1:
-            raise ConfigurationError("n_threads must be >= 1")
         if self.record_retries < 0:
             raise ConfigurationError("record_retries must be >= 0")
 
@@ -316,7 +311,7 @@ class MapReduceJob:
         """Execute the job; returns {key: reducer output} in key order."""
         partitions = self._partitions(list(records))
         self.counters["input_records"] = len(records)
-        executor = as_executor(self.executor, self.n_threads)
+        executor = as_executor(self.executor)
 
         with obs.span(
             "mapreduce.job",
@@ -392,7 +387,6 @@ def run_mapreduce(
     reducer: Reducer,
     combiner: Combiner | None = None,
     n_partitions: int = 8,
-    n_threads: int = 1,
     record_retries: int = 0,
     skip_bad_records: bool = False,
     checkpoint: PartitionCheckpointer | None = None,
@@ -404,7 +398,6 @@ def run_mapreduce(
         reducer=reducer,
         combiner=combiner,
         n_partitions=n_partitions,
-        n_threads=n_threads,
         record_retries=record_retries,
         skip_bad_records=skip_bad_records,
         checkpoint=checkpoint,
@@ -416,7 +409,6 @@ def run_mapreduce(
 def run_map(
     records: Sequence[Any],
     fn: Callable[[Any], Any],
-    n_threads: int = 1,
     record_retries: int = 0,
     skip_bad_records: bool = False,
     error_value: Any = None,
@@ -440,7 +432,7 @@ def run_map(
     in chunk order, so output and counters are byte-identical to the
     serial run.
     """
-    ex = as_executor(executor, n_threads)
+    ex = as_executor(executor)
 
     def _one(indexed: tuple[int, Any]) -> tuple[Any, Counter]:
         index, record = indexed

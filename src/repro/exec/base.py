@@ -120,27 +120,20 @@ class Executor(abc.ABC):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-def as_executor(
-    spec: "Executor | ExecutorConfig | str | None",
-    n_threads: int = 1,
-) -> "Executor":
+def as_executor(spec: "Executor | ExecutorConfig | str | None") -> "Executor":
     """Coerce any executor spec to a live :class:`Executor`.
 
-    ``None`` preserves the legacy ``n_threads`` behaviour: a thread
-    executor when ``n_threads > 1``, else serial.  Strings name a
-    backend with default workers (``n_threads`` for thread/process).
+    ``None`` is the serial default; strings name a backend with default
+    workers.
     """
     if isinstance(spec, Executor):
         return spec
+    if spec is None:
+        spec = ExecutorConfig()
+    elif isinstance(spec, str):
+        spec = ExecutorConfig(backend=spec)
     if isinstance(spec, ExecutorConfig):
         return spec.create()
-    if isinstance(spec, str):
-        workers = max(n_threads, 1)
-        return ExecutorConfig(backend=spec, workers=workers).create()
-    if spec is None:
-        if n_threads > 1:
-            return ExecutorConfig(backend="thread", workers=n_threads).create()
-        return ExecutorConfig().create()
     raise ConfigurationError(
         f"cannot interpret {spec!r} as an executor; pass an Executor, "
         f"ExecutorConfig, backend name, or None"

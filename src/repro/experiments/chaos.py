@@ -201,8 +201,8 @@ def run_chaos(
                 wrapped,
                 seed=feat_seed,
                 include_labels=labeled,
-                n_threads=pipeline.config.n_threads,
                 policy=policy,
+                executor=pipeline.executor,
             )
 
         curation = pipeline.curate(tables["text"], tables["image"])

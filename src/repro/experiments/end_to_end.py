@@ -316,13 +316,6 @@ def run_end_to_end(
     if graph_backend is not None:
         config_kwargs["curation"] = CurationConfig(graph_backend=graph_backend)
     if shard_size is not None:
-        if run_dir is None:
-            from repro.core.exceptions import ConfigurationError
-
-            raise ConfigurationError(
-                "--shard-size requires --run-dir: shard artifacts live in "
-                "the run's content-hashed store"
-            )
         config_kwargs["shard_size"] = shard_size
     config = PipelineConfig(**config_kwargs)
     pipeline, splits = build_pipeline_for_run(task, scale, seed, config)

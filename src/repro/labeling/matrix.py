@@ -99,7 +99,6 @@ class LabelMatrix:
 def apply_lfs(
     lfs: list[LabelingFunction],
     table: FeatureTable,
-    n_threads: int = 1,
     executor: Executor | ExecutorConfig | str | None = None,
 ) -> LabelMatrix:
     """Apply ``lfs`` to every row of ``table``.
@@ -119,7 +118,7 @@ def apply_lfs(
 
     rows = list(table.iter_rows())
     votes = np.array(
-        run_map(rows, vote_row, n_threads=n_threads, executor=executor),
+        run_map(rows, vote_row, executor=executor),
         dtype=np.int8,
     )
     votes = votes.reshape(len(rows), len(lfs))

@@ -153,7 +153,6 @@ def featurize_corpus(
     resources: list[OrganizationalResource],
     seed: int = 0,
     include_labels: bool = False,
-    n_threads: int = 1,
     policy: ResiliencePolicy | None = None,
     executor: Executor | ExecutorConfig | str | None = None,
 ) -> FeatureTable:
@@ -180,13 +179,11 @@ def featurize_corpus(
         corpus=corpus.name,
         n_points=len(corpus.points),
         n_resources=len(resources),
-        n_threads=n_threads,
     ) as sp:
         if policy is None and not traced:
             rows = run_map(
                 corpus.points,
                 _PlainFeaturizeTask(resources, seed),
-                n_threads=n_threads,
                 executor=executor,
             )
             report = None
@@ -194,7 +191,6 @@ def featurize_corpus(
             mapped = run_map(
                 corpus.points,
                 _RichFeaturizeTask(resources, seed, policy, collect_latencies=traced),
-                n_threads=n_threads,
                 executor=executor,
             )
             rows = [row for row, _, _ in mapped]

@@ -14,6 +14,8 @@ This package makes a pipeline run durable:
   :meth:`CrossModalPipeline.run <repro.core.pipeline.CrossModalPipeline.run>`;
 * :class:`PartitionCheckpointer` — the same at MapReduce partition
   granularity;
+* :class:`ProgressManifest` — the job-key-gated ``index -> entry`` file
+  behind partition checkpoints and sharded stage resume;
 * :mod:`repro.runs.crash` — kill-at-boundary injection used by the
   crash/resume harness (``python -m repro.experiments crash``);
 * :mod:`repro.runs.repair` — lineage-driven replay of damaged
@@ -47,6 +49,7 @@ from repro.runs.faultfs import (
     inject_faults,
 )
 from repro.runs.manifest import MANIFEST_VERSION, RunManifest, StageRecord, stage_fingerprint
+from repro.runs.progress import ProgressManifest, job_key
 from repro.runs.repair import RepairAction, RepairEngine, verify_and_restore
 from repro.runs.scrub import ScrubEntry, ScrubReport, scrub_run
 from repro.runs.store import ARTIFACT_FORMAT_VERSION, ArtifactRef, RunStore, encode_envelope
@@ -64,6 +67,7 @@ __all__ = [
     "InjectedFaultError",
     "MANIFEST_VERSION",
     "PartitionCheckpointer",
+    "ProgressManifest",
     "RepairAction",
     "RepairEngine",
     "RunCheckpointer",
@@ -76,6 +80,7 @@ __all__ = [
     "crash_boundary",
     "encode_envelope",
     "inject_faults",
+    "job_key",
     "scrub_run",
     "stage_fingerprint",
     "verify_and_restore",

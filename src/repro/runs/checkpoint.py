@@ -8,7 +8,8 @@ the artifacts, and records completion in the manifest — in that order,
 so the manifest never references bytes that aren't on disk.
 
 :class:`PartitionCheckpointer` is the same idea one level down, for
-MapReduce: each completed partition's mapped output is persisted, so a
+MapReduce: each completed partition's mapped output is persisted and
+recorded in a :class:`~repro.runs.progress.ProgressManifest`, so a
 killed job recomputes only the partitions that hadn't finished.
 
 Every save / skip emits :mod:`repro.obs` spans and counters
@@ -18,9 +19,7 @@ so a traced resumed run shows exactly what it reused.
 
 from __future__ import annotations
 
-import json
 import pickle
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,10 +29,10 @@ import repro.obs as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduler.dedup import StageDeduper
-from repro.core.atomicio import atomic_write_json
 from repro.core.exceptions import ArtifactMissingError, CheckpointError, IntegrityError
 from repro.runs.crash import crash_boundary
 from repro.runs.manifest import RunManifest, StageRecord, stage_fingerprint
+from repro.runs.progress import ProgressManifest
 from repro.runs.repair import verify_and_restore
 from repro.runs.store import ArtifactRef, RunStore
 
@@ -251,62 +250,22 @@ class PartitionCheckpointer:
 
     Partition payloads (the mapped-and-combined group dict plus local
     counters) are pickled into a content-hashed :class:`RunStore`; a
-    small ``partitions.json`` manifest maps partition index → artifact
-    reference.  ``job_key`` identifies the job configuration — an
-    existing manifest written under a different key is ignored and
-    replaced, since its partitions belong to a different computation.
+    :class:`~repro.runs.progress.ProgressManifest` (``partitions.json``)
+    maps partition index → artifact reference.  ``job_key`` identifies
+    the job configuration — partitions recorded under a different key
+    belong to a different computation and are ignored.
 
-    Thread-safe: partitions may complete on worker threads; manifest
-    updates serialize through a lock and each rewrite is atomic.
+    Thread-safe: partitions may complete on worker threads; the
+    manifest serializes its updates.
     """
 
     FILENAME = "partitions.json"
-    FORMAT_VERSION = 1
     KIND = "mapreduce.partition.pkl"
 
     def __init__(self, root: str | Path, job_key: str) -> None:
         self.root = Path(root)
-        self.job_key = str(job_key)
         self.store = RunStore(self.root)
-        self._path = self.root / self.FILENAME
-        self._lock = threading.Lock()
-        self._entries: dict[int, ArtifactRef] = {}
-        self._load_manifest()
-
-    def _load_manifest(self) -> None:
-        if not self._path.exists():
-            return
-        try:
-            data = json.loads(self._path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise IntegrityError(
-                f"partition manifest {self._path} is not valid JSON: {exc}; "
-                f"it is written atomically, so this indicates external "
-                f"modification — delete it to recompute the job"
-            ) from exc
-        if (
-            not isinstance(data, dict)
-            or data.get("format_version") != self.FORMAT_VERSION
-            or data.get("job_key") != self.job_key
-        ):
-            return  # different job or version: start fresh
-        self._entries = {
-            int(index): ArtifactRef.from_dict(ref)
-            for index, ref in data.get("partitions", {}).items()
-        }
-
-    def _save_manifest(self) -> None:
-        atomic_write_json(
-            self._path,
-            {
-                "format_version": self.FORMAT_VERSION,
-                "job_key": self.job_key,
-                "partitions": {
-                    str(i): ref.to_dict() for i, ref in sorted(self._entries.items())
-                },
-            },
-            indent=2,
-        )
+        self.progress = ProgressManifest(self.root / self.FILENAME, job_key)
 
     def load(self, index: int) -> Any | None:
         """The checkpointed payload of partition ``index``, or ``None``.
@@ -314,14 +273,15 @@ class PartitionCheckpointer:
         Corrupt payloads quarantine and raise (via the store) rather
         than silently recomputing.
         """
-        ref = self._entries.get(index)
-        if ref is None:
+        entry = self.progress.get(index)
+        if entry is None:
             return None
+        ref = ArtifactRef.from_dict(entry)
         data = self.store.get_bytes(ref)
         try:
             payload = pickle.loads(data)
         except Exception as exc:  # noqa: BLE001 - any unpickle failure is corruption
-            quarantined = self.store.quarantine(self.store._path_for(ref.hash, ref.kind))
+            quarantined = self.store.quarantine(self.store.path_for(ref))
             note = (
                 f"quarantined at {quarantined}"
                 if quarantined is not None
@@ -339,11 +299,9 @@ class PartitionCheckpointer:
         """Persist partition ``index``'s payload and update the manifest."""
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         ref = self.store.put_bytes(self.KIND, data)
-        with self._lock:
-            self._entries[index] = ref
-            self._save_manifest()
+        self.progress.save(index, ref.to_dict())
         obs.add_counter("runs.partitions_saved")
 
     def completed(self) -> list[int]:
         """Indices of checkpointed partitions (sorted)."""
-        return sorted(self._entries)
+        return self.progress.completed()

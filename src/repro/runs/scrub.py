@@ -161,7 +161,7 @@ def scrub_run(
     with obs.span("runs.scrub.audit", run_dir=str(run_dir)):
         for record in manifest.stages.values():
             for key, ref in record.artifacts.items():
-                referenced.add(store._path_for(ref.hash, ref.kind).name)
+                referenced.add(store.path_for(ref).name)
                 status = store.check(ref)
                 obs.add_counter(f"runs.scrub.{status}")
                 entries.append(

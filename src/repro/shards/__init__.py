@@ -30,7 +30,6 @@ from repro.shards.codec import (
 from repro.shards.corpus import ShardedCorpus, build_sharded_corpus
 from repro.shards.layout import shard_of_row, shard_ranges
 from repro.shards.stages import (
-    ShardProgress,
     ShardedVotesResult,
     apply_lfs_sharded,
     featurize_corpus_sharded,
@@ -39,7 +38,6 @@ from repro.shards.stages import (
 from repro.shards.table import ShardedTable, ShardedTableWriter
 
 __all__ = [
-    "ShardProgress",
     "ShardedCorpus",
     "ShardedTable",
     "ShardedTableWriter",

@@ -18,24 +18,23 @@ executor grid, so peak RSS is O(shard) + O(output), not O(corpus):
   more times).  Values reach the reducer in global input order.
 
 Crash safety mirrors MapReduce partitions one level up: every
-completed shard is persisted and recorded in a :class:`ShardProgress`
-manifest before the ``shard:<tag>:<index>`` crash boundary, so a
-killed run recomputes only unfinished shards — and resumes to
-bit-identical artifacts, which the harness proves by killing runs at
-every shard boundary.
+completed shard is persisted and recorded in a
+:class:`~repro.runs.progress.ProgressManifest` before the
+``shard:<tag>:<index>`` crash boundary, so a killed run recomputes only
+unfinished shards — and resumes to bit-identical artifacts, which the
+harness proves by killing runs at every shard boundary.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.atomicio import atomic_write_json, canonical_json, sha256_hex
+from repro.core.atomicio import canonical_json
 from repro.core.exceptions import IntegrityError
 from repro.dataflow.mapreduce import (
     Combiner,
@@ -53,13 +52,13 @@ from repro.labeling.matrix import LabelMatrix, apply_lfs
 from repro.resources.base import OrganizationalResource
 from repro.resources.featurize import featurize_corpus
 from repro.runs.crash import crash_boundary
+from repro.runs.progress import ProgressManifest
 from repro.runs.store import ArtifactRef, RunStore
 from repro.shards.corpus import ShardedCorpus
 from repro.shards.layout import shard_ranges
 from repro.shards.table import ShardedTable, ShardedTableWriter
 
 __all__ = [
-    "ShardProgress",
     "ShardedVotesResult",
     "VOTES_KIND",
     "VOTES_MANIFEST_KIND",
@@ -71,78 +70,6 @@ __all__ = [
 VOTES_KIND = "votes_shard.npy"
 VOTES_MANIFEST_KIND = "votes_manifest"
 _VOTES_MAGIC = b"RSHV\x01\n"
-
-
-class ShardProgress:
-    """Atomic completed-shard manifest for one sharded stage.
-
-    The shard-level sibling of
-    :class:`~repro.runs.checkpoint.PartitionCheckpointer`: a JSON file
-    mapping shard index -> manifest entry (artifact refs + row range),
-    rewritten atomically after every completed shard.  ``job_key``
-    fingerprints the stage configuration — an existing file written
-    under a different key belongs to a different computation and is
-    ignored, so resuming with changed config recomputes from scratch
-    instead of mixing incompatible shards.
-    """
-
-    FORMAT_VERSION = 1
-
-    def __init__(self, path: str | Path, job_key: str) -> None:
-        self.path = Path(path)
-        self.job_key = str(job_key)
-        self._entries: dict[int, dict] = {}
-        self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise IntegrityError(
-                f"shard progress manifest {self.path} is not valid JSON "
-                f"({exc}); it is written atomically, so this indicates "
-                f"external modification — delete it to recompute the stage"
-            ) from exc
-        if (
-            not isinstance(data, dict)
-            or data.get("format_version") != self.FORMAT_VERSION
-            or data.get("job_key") != self.job_key
-        ):
-            return  # different stage configuration or version: start fresh
-        self._entries = {
-            int(index): dict(entry)
-            for index, entry in data.get("shards", {}).items()
-        }
-
-    def _save(self) -> None:
-        atomic_write_json(
-            self.path,
-            {
-                "format_version": self.FORMAT_VERSION,
-                "job_key": self.job_key,
-                "shards": {
-                    str(i): entry for i, entry in sorted(self._entries.items())
-                },
-            },
-            indent=2,
-        )
-
-    def get(self, index: int) -> dict | None:
-        return self._entries.get(index)
-
-    def save(self, index: int, entry: dict) -> None:
-        self._entries[index] = dict(entry)
-        self._save()
-        obs.add_counter("shards.progress_saved")
-
-    def completed(self) -> list[int]:
-        return sorted(self._entries)
-
-
-def _job_key(payload: dict) -> str:
-    return sha256_hex(canonical_json(payload).encode("utf-8"))
 
 
 def _refs_healthy(store: RunStore, refs: list[ArtifactRef | None]) -> bool:
@@ -164,10 +91,9 @@ def featurize_corpus_sharded(
     shard_size: int,
     seed: int = 0,
     include_labels: bool = False,
-    n_threads: int = 1,
     policy: Any = None,
     executor: "Executor | ExecutorConfig | str | None" = None,
-    progress: ShardProgress | None = None,
+    progress: ProgressManifest | None = None,
     tag: str = "table",
 ) -> ShardedTable:
     """Featurize ``corpus`` shard-by-shard into a :class:`ShardedTable`.
@@ -217,7 +143,6 @@ def featurize_corpus_sharded(
                 resources,
                 seed=seed,
                 include_labels=include_labels,
-                n_threads=n_threads,
                 policy=policy,
                 executor=executor,
             )
@@ -277,10 +202,9 @@ class ShardedVotesResult:
 def apply_lfs_sharded(
     lfs: list[LabelingFunction],
     table: ShardedTable,
-    n_threads: int = 1,
     executor: "Executor | ExecutorConfig | str | None" = None,
     store: RunStore | None = None,
-    progress: ShardProgress | None = None,
+    progress: ProgressManifest | None = None,
     tag: str = "votes",
 ) -> ShardedVotesResult:
     """Apply ``lfs`` shard-by-shard; only int8 votes accumulate.
@@ -324,7 +248,6 @@ def apply_lfs_sharded(
                 shard_matrix = apply_lfs(
                     lfs,
                     table.shard(index),
-                    n_threads=n_threads,
                     executor=executor,
                 )
                 votes = shard_matrix.votes
@@ -375,7 +298,6 @@ def run_mapreduce_sharded(
     mapper: Mapper,
     reducer: Reducer,
     combiner: Combiner | None = None,
-    n_threads: int = 1,
     executor: "Executor | ExecutorConfig | str | None" = None,
     counters: dict[str, int] | None = None,
 ) -> dict[Key, Any]:
@@ -392,7 +314,7 @@ def run_mapreduce_sharded(
     invariant under combiner pre-aggregation; such jobs hash
     byte-identically sharded vs unsharded across all backends.
     """
-    ex = as_executor(executor, n_threads)
+    ex = as_executor(executor)
     grouped_total: dict[Key, list[Any]] = {}
     totals: dict[str, int] = {}
     n_records = 0

@@ -188,7 +188,7 @@ class ShardedTableWriter:
 
     ``add_shard`` persists one shard's artifacts immediately (so a
     killed run keeps its completed prefix — see
-    :class:`~repro.shards.stages.ShardProgress`), and ``adopt`` re-links
+    :class:`~repro.runs.progress.ProgressManifest`), and ``adopt`` re-links
     a shard another attempt already persisted.  ``finish`` validates the
     exact cover of ``[0, n_rows)`` and writes the manifest artifact.
     """

@@ -120,7 +120,7 @@ def test_process_backend_crash_resumes_on_serial_bit_identical(
 # ----------------------------------------------------------------------
 # MapReduce partition-level crash/resume
 # ----------------------------------------------------------------------
-def _job(checkpoint=None, n_threads=1, calls=None):
+def _job(checkpoint=None, executor=None, calls=None):
     def mapper(r):
         if calls is not None:
             calls.append(r)
@@ -130,7 +130,7 @@ def _job(checkpoint=None, n_threads=1, calls=None):
         mapper=mapper,
         reducer=lambda key, values: sorted(values),
         n_partitions=4,
-        n_threads=n_threads,
+        executor=executor,
         checkpoint=checkpoint,
     )
 
@@ -212,7 +212,7 @@ def test_mapreduce_process_resume_from_threaded_checkpoint(tmp_path):
     records = list(range(40))
     expected = _job().run(records)
     first = _job(
-        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"), n_threads=4
+        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"), executor=ExecutorConfig("thread", 4)
     )
     assert first.run(records) == expected
     second = MapReduceJob(
@@ -230,12 +230,14 @@ def test_mapreduce_threaded_resume_matches(tmp_path):
     records = list(range(40))
     expected = _job().run(records)
     ck_dir = tmp_path / "job"
-    first = _job(checkpoint=PartitionCheckpointer(ck_dir, job_key="j"), n_threads=4)
+    first = _job(
+        checkpoint=PartitionCheckpointer(ck_dir, job_key="j"), executor=ExecutorConfig("thread", 4)
+    )
     assert first.run(records) == expected
     calls: list[int] = []
     second = _job(
         checkpoint=PartitionCheckpointer(ck_dir, job_key="j"),
-        n_threads=4,
+        executor=ExecutorConfig("thread", 4),
         calls=calls,
     )
     assert second.run(records) == expected

@@ -74,15 +74,8 @@ def test_as_executor_passthrough():
     assert as_executor(ex) is ex
 
 
-def test_as_executor_none_respects_legacy_n_threads():
-    assert isinstance(as_executor(None), SerialExecutor)
-    assert isinstance(as_executor(None, n_threads=1), SerialExecutor)
-    threaded = as_executor(None, n_threads=4)
-    assert isinstance(threaded, ThreadExecutor)
-    assert threaded.workers == 4
-
-
 def test_as_executor_from_string_and_config():
+    assert isinstance(as_executor(None), SerialExecutor)
     assert isinstance(as_executor("process"), ProcessExecutor)
     ex = as_executor(ExecutorConfig(backend="thread", workers=2))
     assert isinstance(ex, ThreadExecutor)

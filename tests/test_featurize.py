@@ -5,6 +5,7 @@ import pytest
 
 from repro.datagen.entities import Modality
 from repro.features.table import MISSING
+from repro.exec import ExecutorConfig
 from repro.resources.featurize import featurize_corpus, featurize_point
 
 
@@ -53,8 +54,10 @@ def test_subset_consistency(tiny_catalog, tiny_splits):
 
 def test_threading_matches_sequential(tiny_catalog, tiny_splits):
     corpus = tiny_splits.image_test
-    seq = featurize_corpus(corpus, list(tiny_catalog), seed=5, n_threads=1)
-    par = featurize_corpus(corpus, list(tiny_catalog), seed=5, n_threads=4)
+    seq = featurize_corpus(corpus, list(tiny_catalog), seed=5)
+    par = featurize_corpus(
+        corpus, list(tiny_catalog), seed=5, executor=ExecutorConfig("thread", 4)
+    )
     assert seq.column("topics") == par.column("topics")
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.dataflow.mapreduce import MapReduceJob, run_map, run_mapreduce
+from repro.exec import ExecutorConfig
 
 
 def word_count_mapper(line):
@@ -39,8 +40,8 @@ def test_combiner_preserves_result():
 
 def test_threaded_matches_sequential():
     lines = [f"w{i % 7} w{i % 3}" for i in range(200)]
-    seq = run_mapreduce(lines, word_count_mapper, sum_reducer, n_threads=1)
-    par = run_mapreduce(lines, word_count_mapper, sum_reducer, n_threads=4)
+    seq = run_mapreduce(lines, word_count_mapper, sum_reducer)
+    par = run_mapreduce(lines, word_count_mapper, sum_reducer, executor=ExecutorConfig("thread", 4))
     assert seq == par
 
 
@@ -61,8 +62,10 @@ def test_reducer_sees_deterministic_value_order():
     def collect(key, values):
         return list(values)
 
-    a = run_mapreduce(records, mapper, collect, n_partitions=4, n_threads=1)
-    b = run_mapreduce(records, mapper, collect, n_partitions=4, n_threads=4)
+    a = run_mapreduce(records, mapper, collect, n_partitions=4)
+    b = run_mapreduce(
+        records, mapper, collect, n_partitions=4, executor=ExecutorConfig("thread", 4)
+    )
     assert a == b
 
 
@@ -77,7 +80,11 @@ def test_invalid_config():
     with pytest.raises(ConfigurationError):
         MapReduceJob(mapper=word_count_mapper, reducer=sum_reducer, n_partitions=0)
     with pytest.raises(ConfigurationError):
-        MapReduceJob(mapper=word_count_mapper, reducer=sum_reducer, n_threads=0)
+        MapReduceJob(
+            mapper=word_count_mapper,
+            reducer=sum_reducer,
+            executor=ExecutorConfig("thread", 0),
+        )
 
 
 def test_run_map_order_preserved():
@@ -87,7 +94,9 @@ def test_run_map_order_preserved():
 
 def test_run_map_threaded_order_preserved():
     records = list(range(100))
-    assert run_map(records, lambda r: r + 1, n_threads=4) == [r + 1 for r in records]
+    assert run_map(records, lambda r: r + 1, executor=ExecutorConfig("thread", 4)) == [
+        r + 1 for r in records
+    ]
 
 
 def test_keys_sorted_in_output():
@@ -122,7 +131,7 @@ def test_raising_mapper_threaded_surfaces_record_context():
         yield "k", record
 
     with pytest.raises(RecordError) as info:
-        run_mapreduce(list(range(40)), mapper, sum_reducer, n_threads=4)
+        run_mapreduce(list(range(40)), mapper, sum_reducer, executor=ExecutorConfig("thread", 4))
     assert info.value.index == 13
 
 
@@ -150,11 +159,11 @@ def test_skip_bad_records_threaded_matches_sequential():
 
     seq = run_mapreduce(
         list(range(60)), mapper, lambda k, vs: sorted(vs),
-        skip_bad_records=True, n_threads=1,
+        skip_bad_records=True,
     )
     par = run_mapreduce(
         list(range(60)), mapper, lambda k, vs: sorted(vs),
-        skip_bad_records=True, n_threads=4,
+        skip_bad_records=True, executor=ExecutorConfig("thread", 4),
     )
     assert seq == par
 
@@ -174,7 +183,7 @@ def test_record_retries_recover_flaky_mapper():
 
     job = MapReduceJob(
         mapper=flaky_mapper, reducer=lambda k, vs: sorted(vs),
-        record_retries=1, n_threads=4,
+        record_retries=1, executor=ExecutorConfig("thread", 4),
     )
     result = job.run(list(range(16)))
     assert result["k"] == list(range(16))
@@ -188,7 +197,7 @@ def test_mapper_side_counters_aggregated_across_threads():
         mapper=word_count_mapper,
         reducer=sum_reducer,
         combiner=lambda key, values: [sum(values)],
-        n_threads=4,
+        executor=ExecutorConfig("thread", 4),
         n_partitions=8,
     )
     job.run(lines)
@@ -207,8 +216,8 @@ def test_run_map_skip_and_counters():
 
     counters: dict[str, int] = {}
     out = run_map(
-        list(range(10)), fn, n_threads=4, skip_bad_records=True,
-        error_value=None, counters=counters,
+        list(range(10)), fn, executor=ExecutorConfig("thread", 4),
+        skip_bad_records=True, error_value=None, counters=counters,
     )
     assert out == [r * 2 if r != 5 else None for r in range(10)]
     assert counters["failed_records"] == 1
@@ -241,7 +250,8 @@ def test_run_map_retries_flaky_fn():
 
     counters: dict[str, int] = {}
     out = run_map(
-        list(range(8)), flaky, n_threads=4, record_retries=2, counters=counters
+        list(range(8)), flaky, executor=ExecutorConfig("thread", 4),
+        record_retries=2, counters=counters,
     )
     assert out == [r + 1 for r in range(8)]
     assert counters["retried_records"] == 8
@@ -290,21 +300,21 @@ def test_job_counters_identical_across_thread_counts():
     scheduling."""
     records = list(range(150))
 
-    def run_with(n_threads):
+    def run_with(executor):
         job = MapReduceJob(
             mapper=lambda r: [(r % 5, r)],
             reducer=lambda key, values: len(values),
             combiner=lambda key, values: values,
             n_partitions=6,
-            n_threads=n_threads,
+            executor=executor,
         )
         job.run(records)
         return dict(job.counters)
 
-    serial = run_with(1)
+    serial = run_with(None)
     assert serial["records_mapped"] == len(records)
-    for n_threads in (2, 4, 8):
-        assert run_with(n_threads) == serial
+    for workers in (2, 4, 8):
+        assert run_with(ExecutorConfig("thread", workers)) == serial
 
 
 def test_traced_job_counters_match_untraced(tmp_path):
@@ -321,7 +331,7 @@ def test_traced_job_counters_match_untraced(tmp_path):
             mapper=lambda r: [(r % 3, r)],
             reducer=lambda key, values: sum(values),
             n_partitions=4,
-            n_threads=4,
+            executor=ExecutorConfig("thread", 4),
         )
 
     untraced = build()

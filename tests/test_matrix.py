@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.exceptions import LabelingError
 from repro.datagen.entities import Modality
+from repro.exec import ExecutorConfig
 from repro.features.schema import FeatureKind, FeatureSchema, FeatureSpec
 from repro.features.table import FeatureTable
 from repro.labeling.lf import ABSTAIN, NEGATIVE, POSITIVE, LabelingFunction
@@ -95,6 +96,6 @@ def test_empty_matrix_statistics():
 def test_threaded_application_matches(tiny_curation, tiny_image_table):
     lfs = tiny_curation.lfs[:5]
     table = tiny_curation.image_table_augmented
-    seq = apply_lfs(lfs, table, n_threads=1)
-    par = apply_lfs(lfs, table, n_threads=4)
+    seq = apply_lfs(lfs, table)
+    par = apply_lfs(lfs, table, executor=ExecutorConfig("thread", 4))
     assert np.array_equal(seq.votes, par.votes)

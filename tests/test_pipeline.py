@@ -101,6 +101,17 @@ def test_full_run(tiny_world, tiny_task, tiny_catalog, tiny_splits):
     assert result.curation.label_matrix.n_points == len(tiny_splits.image_unlabeled)
 
 
+def test_shard_size_without_checkpoint_rejected(
+    tiny_world, tiny_task, tiny_catalog, tiny_splits
+):
+    """Shards live in a run's artifact store, so a shard size without a
+    checkpointer is a configuration error, not a silent no-op."""
+    config = PipelineConfig(seed=7, shard_size=97)
+    pipeline = CrossModalPipeline(tiny_world, tiny_task, tiny_catalog, config)
+    with pytest.raises(ConfigurationError, match="checkpointed run"):
+        pipeline.run(tiny_splits)
+
+
 def test_curation_without_propagation(tiny_world, tiny_task, tiny_catalog,
                                       tiny_text_table, tiny_image_table):
     config = PipelineConfig(

@@ -37,6 +37,7 @@ from repro.resilience import (
     build_substitute_map,
     retry_call,
 )
+from repro.exec import ExecutorConfig
 from repro.resources.featurize import featurize_corpus, featurize_point
 
 
@@ -441,11 +442,11 @@ class TestResilientFeaturization:
         self, suite, small_corpus
     ):
         tables = []
-        for n_threads in (1, 4, 1):
+        for executor in (None, ExecutorConfig("thread", 4), None):
             wrapped, policy = make_faulty_setup(suite)
             tables.append(
                 featurize_corpus(
-                    small_corpus, wrapped, seed=5, n_threads=n_threads,
+                    small_corpus, wrapped, seed=5, executor=executor,
                     policy=policy,
                 )
             )

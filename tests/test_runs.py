@@ -13,6 +13,7 @@ from repro.core.exceptions import CheckpointError, IntegrityError
 from repro.runs import (
     ArtifactRef,
     PartitionCheckpointer,
+    ProgressManifest,
     RunCheckpointer,
     RunManifest,
     RunStore,
@@ -401,11 +402,45 @@ def test_partition_checkpointer_ignores_other_job_key(tmp_path):
 def test_partition_checkpointer_quarantines_corrupt_payload(tmp_path):
     ck = PartitionCheckpointer(tmp_path, job_key="job-a")
     ck.save(0, {"k": [1]})
-    ref = ck._entries[0]
+    ref = ArtifactRef.from_dict(ck.progress.get(0))
     ck.store._path_for(ref.hash, ref.kind).write_bytes(b"not a pickle")
     reopened = PartitionCheckpointer(tmp_path, job_key="job-a")
     with pytest.raises(IntegrityError):
         reopened.load(0)
+
+
+def test_progress_manifest_concurrent_saves_lose_no_entry(tmp_path):
+    """Units complete on worker threads at the same moment; a save that
+    renames a stale snapshot over a newer one would drop an index from
+    the file."""
+    import sys
+
+    n_threads = 12
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(10):
+            path = tmp_path / f"progress-{attempt}.json"
+            manifest = ProgressManifest(path, job_key="job-a")
+            barrier = threading.Barrier(n_threads)
+
+            def saver(index: int) -> None:
+                barrier.wait(timeout=30)
+                manifest.save(index, {"unit": index})
+
+            threads = [
+                threading.Thread(target=saver, args=(i,)) for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            expected = list(range(n_threads))
+            assert manifest.completed() == expected
+            assert ProgressManifest(path, job_key="job-a").completed() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -40,11 +40,10 @@ from repro.features.schema import FeatureKind
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.matrix import apply_lfs
 from repro.resources.featurize import featurize_corpus
-from repro.runs import RunCheckpointer
+from repro.runs import ProgressManifest, RunCheckpointer
 from repro.runs.crash import CRASH_AT_ENV, CRASH_MODE_ENV
 from repro.runs.store import RunStore
 from repro.shards import (
-    ShardProgress,
     apply_lfs_sharded,
     build_sharded_corpus,
     featurize_corpus_sharded,
@@ -303,7 +302,7 @@ def test_mapreduce_sharded_equivalence_property(records, boundaries, tmp_path_fa
 # crash at every shard boundary → resume bit-identical
 # ----------------------------------------------------------------------
 def _progress(store, tag):
-    return ShardProgress(store.root / f"progress-{tag}.json", job_key="test-job")
+    return ProgressManifest(store.root / f"progress-{tag}.json", job_key="test-job")
 
 
 @pytest.mark.parametrize("kill_shard", [0, 3, 8])
@@ -376,9 +375,9 @@ def test_progress_job_key_mismatch_discards_stale_shards(
     """A progress file from a different job configuration must not leak
     shards into this run — the manifest is keyed by job fingerprint."""
     path = store.root / "progress-stale.json"
-    stale = ShardProgress(path, job_key="job-A")
+    stale = ProgressManifest(path, job_key="job-A")
     stale.save(0, {"bogus": True})
-    fresh = ShardProgress(path, job_key="job-B")
+    fresh = ProgressManifest(path, job_key="job-B")
     assert fresh.completed() == []
 
 
