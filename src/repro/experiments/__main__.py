@@ -18,6 +18,12 @@ Regenerate any of the paper's tables/figures from the shell:
     python -m repro.experiments shardscale
     python -m repro.experiments all
 
+Exit status: each gated experiment (chaos, crash, serve, multitenant,
+storagechaos, shardscale, scrub) prints one ``gate=<name> [OK|FAIL]``
+line per guarantee it checks after its report.  The command exits 0
+when every gate of every experiment run passed (experiments without
+gates always pass), 1 when any gate failed, and 2 on a usage error.
+
 Checkpointing (see DESIGN.md "Checkpointing & crash recovery"):
 
     --run-dir DIR      end_to_end: persist each completed stage into DIR
@@ -103,7 +109,8 @@ Self-healing storage (see DESIGN.md "Self-healing storage"):
 
     scrub --run-dir DIR        audit every artifact the run's manifest
                                references (healthy/corrupt/missing, plus
-                               orphans); exits with the verdict line
+                               orphans); exits 1 unless the store is
+                               healthy
     scrub --run-dir DIR --repair
                                additionally rebuild damaged artifacts by
                                replaying their producing stages; the
@@ -151,6 +158,7 @@ from repro.experiments.serve import (
     DEFAULT_SERVE_AVAILABILITIES,
     run_serve,
 )
+from repro.experiments.shardscale import run_shardscale
 from repro.experiments.storagechaos import run_storagechaos
 from repro.experiments.table1 import run_table1
 from repro.runs import FAULT_TYPES
@@ -162,43 +170,44 @@ _EXPERIMENTS = (
 )
 
 
-def _run_one(name: str, args: argparse.Namespace) -> str:
+def _run_one(name: str, args: argparse.Namespace):
+    """Run one experiment and return its result object."""
     scale, seed = args.scale, args.seed
     if name == "table1":
-        return run_table1(scale=scale, seed=seed).render()
+        return run_table1(scale=scale, seed=seed)
     if name == "table2":
         return run_table2(
             tasks=args.tasks or None, scale=scale, seed=seed,
             n_model_seeds=args.model_seeds,
-        ).render()
+        )
     if name == "table3":
         return run_table3(
             tasks=args.tasks or None, scale=scale, seed=seed,
             n_model_seeds=args.model_seeds,
-        ).render()
+        )
     if name == "figure5":
         return run_figure5(scale=scale, seed=seed,
-                           n_model_seeds=args.model_seeds).render()
+                           n_model_seeds=args.model_seeds)
     if name == "figure6":
         return run_figure6(scale=scale, seed=seed,
-                           n_model_seeds=args.model_seeds).render()
+                           n_model_seeds=args.model_seeds)
     if name == "figure7":
         return run_figure7(scale=scale, seed=seed,
-                           n_model_seeds=args.model_seeds).render()
+                           n_model_seeds=args.model_seeds)
     if name == "fusion":
-        return run_fusion_ablation(scale=scale, seed=seed).render()
+        return run_fusion_ablation(scale=scale, seed=seed)
     if name == "lf":
-        return run_lf_comparison(scale=scale, seed=seed).render()
+        return run_lf_comparison(scale=scale, seed=seed)
     if name == "ablations":
-        return render_ablations(run_all_ablations(scale=scale, seed=seed))
+        return run_all_ablations(scale=scale, seed=seed)
     if name == "chaos":
         return run_chaos(scale=scale, seed=seed,
                          n_model_seeds=args.model_seeds,
-                         out_dir=args.run_dir).render()
+                         out_dir=args.run_dir)
     if name == "crash":
         task = (args.tasks or ["CT1"])[0]
         return run_crash_resume(task=task, scale=scale, seed=seed,
-                                keep_dir=args.run_dir).render()
+                                keep_dir=args.run_dir)
     if name == "end_to_end":
         task = (args.tasks or ["CT1"])[0]
         executor = None
@@ -212,7 +221,7 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
                               executor=executor,
                               graph_backend=args.graph_backend,
                               auto_repair=args.auto_repair,
-                              shard_size=args.shard_size).render()
+                              shard_size=args.shard_size)
     if name == "storagechaos":
         task = (args.tasks or ["CT1"])[0]
         return run_storagechaos(
@@ -220,16 +229,14 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
             fault_types=tuple(args.fault_types) if args.fault_types else None,
             fault_rates=tuple(args.fault_rates) if args.fault_rates else None,
             out_dir=args.run_dir,
-        ).render()
+        )
     if name == "scrub":
-        return run_scrub(args.run_dir, repair=args.repair).render()
+        return run_scrub(args.run_dir, repair=args.repair)
     if name == "shardscale":
-        from repro.experiments.shardscale import run_shardscale
-
         return run_shardscale(
             sizes=args.sizes, shard_sizes=args.shard_sizes, seed=seed,
             out_dir=args.run_dir,
-        ).render()
+        )
     if name == "scaling":
         executor = None
         if args.backend is not None or args.workers is not None:
@@ -243,7 +250,7 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
         return run_scaling(
             sizes=args.sizes, backends=backends, seed=seed,
             out_dir=args.run_dir, executor=executor,
-        ).render()
+        )
     if name == "serve":
         return run_serve(
             scale=scale, seed=seed,
@@ -257,7 +264,7 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
             ),
             n_requests=args.requests,
             run_dir=args.run_dir,
-        ).render()
+        )
     if name == "multitenant":
         return run_multitenant(
             scale=scale, seed=seed,
@@ -276,7 +283,7 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
             ),
             workers=args.workers if args.workers is not None else 2,
             out_dir=args.run_dir,
-        ).render()
+        )
     raise ValueError(f"unknown experiment {name!r}")
 
 
@@ -434,10 +441,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.experiment == "all"
         else [args.experiment]
     )
+    failed = False
     try:
         for name in names:
             with obs.timed(f"experiment.{name}") as t:
-                print(_run_one(name, args))
+                result = _run_one(name, args)
+            print(
+                render_ablations(result) if name == "ablations"
+                else result.render()
+            )
+            gates = result.gates() if hasattr(result, "gates") else {}
+            for gate, ok in gates.items():
+                print(f"gate={gate} [{'OK' if ok else 'FAIL'}]")
+            failed = failed or not all(gates.values())
             print(f"[{name}: {t.duration:.1f}s]\n")
         if tracer is not None:
             if args.profile:
@@ -448,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if tracer is not None:
             obs.disable()
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

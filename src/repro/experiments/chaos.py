@@ -38,7 +38,7 @@ from repro.core.exceptions import CheckpointError
 from repro.core.rng import derive_seed
 from repro.runs.crash import CRASH_AT_ENV, CRASH_EXIT_CODE
 from repro.experiments.common import ExperimentContext
-from repro.experiments.reporting import render_bars, render_table
+from repro.experiments.reporting import no_cliff, render_bars, render_table
 from repro.resilience import (
     FallbackChain,
     FaultInjector,
@@ -78,20 +78,8 @@ class ChaosResult:
     short_circuits: list[int] = field(default_factory=list)
     deadline_exceeded: list[int] = field(default_factory=list)
 
-    def graceful(self, max_step_loss: float = 0.5) -> bool:
-        """True when no *adjacent* availability step loses more than
-        ``max_step_loss`` of the preceding level's AUPRC.
-
-        Graceful degradation means the quality curve declines smoothly
-        with availability; a cliff is a single step that wipes out most
-        of the remaining quality.
-        """
-        order = np.argsort(self.availabilities)[::-1]
-        ordered = [self.auprcs[i] for i in order]
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if prev > 0 and nxt < (1.0 - max_step_loss) * prev:
-                return False
-        return True
+    def gates(self) -> dict[str, bool]:
+        return {"graceful": no_cliff(dict(zip(self.availabilities, self.auprcs)))}
 
     def render(self) -> str:
         rows = []
@@ -121,12 +109,7 @@ class ChaosResult:
             self.auprcs,
             title="(AUPRC per availability level — graceful means no cliff)",
         )
-        verdict = (
-            "degradation is graceful (no adjacent step loses >50% AUPRC)"
-            if self.graceful()
-            else "degradation is NOT graceful (cliff detected)"
-        )
-        return table + "\n\n" + bars + "\n\n" + verdict
+        return table + "\n\n" + bars
 
 
 def _chaos_policy(
@@ -256,7 +239,7 @@ def run_chaos(
             breaker_trips=result.breaker_trips,
             short_circuits=result.short_circuits,
             deadline_exceeded=result.deadline_exceeded,
-            graceful=result.graceful(),
+            graceful=result.gates()["graceful"],
         )
         artifact.write(directory)
     return result
@@ -298,14 +281,14 @@ class CrashResumeResult:
     quarantined_files: int
     run_dir: str
 
-    def ok(self) -> bool:
-        return (
-            all(
+    def gates(self) -> dict[str, bool]:
+        return {
+            "crash_safe": all(
                 k.crash_exit == CRASH_EXIT_CODE and k.metrics_match
                 for k in self.kills
-            )
-            and self.corruption_detected
-        )
+            ),
+            "corruption_detected": self.corruption_detected,
+        }
 
     def render(self) -> str:
         rows = []
@@ -326,18 +309,10 @@ class CrashResumeResult:
                 f"boundary (scale={self.scale}, seed={self.seed})"
             ),
         )
-        corruption = (
-            f"corrupted artifact: detected and quarantined "
-            f"({self.quarantined_files} file(s) in quarantine/)"
-            if self.corruption_detected
-            else "corrupted artifact: NOT detected — integrity check failed"
+        return (
+            f"{table}\n\ncorruption probe: {self.quarantined_files} "
+            f"file(s) in quarantine/"
         )
-        verdict = (
-            "resume is crash-safe: every kill point resumed to bit-identical metrics"
-            if self.ok()
-            else "resume is NOT crash-safe (see rows above)"
-        )
-        return table + "\n\n" + corruption + "\n" + verdict
 
 
 def _end_to_end_argv(

@@ -1,10 +1,32 @@
-"""Plain-text table rendering for experiment results."""
+"""Plain-text table rendering for experiment results, and the no-cliff
+rule the degradation sweeps gate on."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
-__all__ = ["render_table", "format_value", "render_series"]
+__all__ = ["render_table", "format_value", "render_series", "no_cliff"]
+
+#: the largest share of the preceding level's value one step down may
+#: lose before the step counts as a cliff
+MAX_STEP_LOSS = 0.5
+
+
+def no_cliff(values_by_level: Mapping[float, float]) -> bool:
+    """True when, walking the levels from highest to lowest, no adjacent
+    step loses more than ``MAX_STEP_LOSS`` of the preceding level's value.
+
+    Graceful degradation means quality declines smoothly as the level
+    (e.g. service availability) drops; a cliff is a single step that
+    wipes out most of the remaining quality.
+    """
+    ordered = [
+        values_by_level[level] for level in sorted(values_by_level, reverse=True)
+    ]
+    return not any(
+        prev > 0 and nxt < (1.0 - MAX_STEP_LOSS) * prev
+        for prev, nxt in zip(ordered, ordered[1:])
+    )
 
 
 def format_value(value: object) -> str:

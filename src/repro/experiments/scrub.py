@@ -143,7 +143,7 @@ def run_scrub(
     artifact.record(
         run_dir=str(run_dir),
         repair=repair,
-        store_healthy=report.healthy,
+        store_healthy=report.gates()["store_healthy"],
         **{f"n_{status}": count for status, count in report.counts.items()},
     )
     bench_dir = out_dir or os.environ.get("REPRO_BENCH_DIR") or str(run_dir)

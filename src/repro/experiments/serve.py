@@ -36,14 +36,10 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.rng import derive_seed
 from repro.datagen.entities import DataPoint
-from repro.datagen.tasks import classification_task, generate_task_corpora
-from repro.experiments.reporting import render_table
+from repro.experiments.reporting import no_cliff, render_table
 from repro.resilience import FaultInjector, FaultSpec
-from repro.resources.service_sets import build_resource_suite
 from repro.runs.manifest import RunManifest
 from repro.serving import (
     Decision,
@@ -98,22 +94,14 @@ class ServeResult:
     batch_agreement: float
     batch_score_max_diff: float
 
-    @property
-    def identity_ok(self) -> bool:
-        return all(self.identity_checks.values()) and all(
-            c.identical for c in self.cells
-        )
-
-    def graceful(self, max_step_loss: float = 0.5) -> bool:
-        """No adjacent availability step loses more than
-        ``max_step_loss`` of the previous level's cold-cache decision
-        agreement (the serving analogue of the chaos AUPRC rule)."""
-        order = np.argsort(self.availabilities)[::-1]
-        ordered = [self.cold_agreements[i] for i in order]
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if prev > 0 and nxt < (1.0 - max_step_loss) * prev:
-                return False
-        return True
+    def gates(self) -> dict[str, bool]:
+        return {
+            "identity_ok": all(self.identity_checks.values())
+            and all(c.identical for c in self.cells),
+            "graceful": no_cliff(
+                dict(zip(self.availabilities, self.cold_agreements))
+            ),
+        }
 
     def render(self) -> str:
         rows = [
@@ -155,26 +143,13 @@ class ServeResult:
             f"{name}={'ok' if ok else 'FAIL'}"
             for name, ok in sorted(self.identity_checks.items())
         )
-        identity = (
-            "serving identity: decisions bit-identical across batching, "
-            "cache state, concurrency, and availability"
-            if self.identity_ok
-            else "serving identity: VIOLATED (see cells above)"
-        )
-        verdict = (
-            "serving degradation is graceful (no adjacent step loses >50% "
-            "decision agreement)"
-            if self.graceful()
-            else "serving degradation is NOT graceful (cliff detected)"
-        )
         batch_line = (
             f"batch-pipeline agreement: {self.batch_agreement:.1%} of labels "
             f"(max |score delta| {self.batch_score_max_diff:.2e}); "
             f"warm cache primed with {self.warmed} entries"
         )
         return "\n\n".join(
-            [table, agreement, f"identity checks: {checks}",
-             batch_line, identity, verdict]
+            [table, agreement, f"identity checks: {checks}", batch_line]
         )
 
 
@@ -211,7 +186,7 @@ def run_serve(
     expensive part); otherwise the run is computed there first.  With
     no ``run_dir`` a temporary directory is used.
     """
-    from repro.experiments.end_to_end import run_end_to_end
+    from repro.experiments.end_to_end import build_pipeline_for_run, run_end_to_end
 
     directory = Path(
         run_dir
@@ -234,13 +209,8 @@ def run_serve(
     artifacts = ServingArtifacts.load(directory)
 
     # the live catalog, rebuilt exactly as the batch run built it
-    task_config = classification_task("CT1")
-    world, task_rt, splits = generate_task_corpora(
-        task_config, scale=scale, seed=seed
-    )
-    resources = list(
-        build_resource_suite(world, task_rt, n_history=10_000, seed=seed)
-    )
+    pipeline, splits = build_pipeline_for_run("CT1", scale, seed)
+    resources = list(pipeline.catalog)
     # never keep more points than requests: the round-robin schedule
     # must cover every point at least once for the identity comparison
     # against the full reference serve to be meaningful
@@ -386,6 +356,7 @@ def run_serve(
     if directory_out:
         from repro.obs.bench import BenchArtifact
 
+        gates = result.gates()
         artifact = BenchArtifact("serving", scale=scale, seed=seed)
         artifact.record(
             n_points=result.n_points,
@@ -408,10 +379,10 @@ def run_serve(
                 for c in result.cells
             ],
             identity_checks=result.identity_checks,
-            identity_ok=result.identity_ok,
+            identity_ok=gates["identity_ok"],
             availabilities=result.availabilities,
             cold_agreements=[round(a, 4) for a in result.cold_agreements],
-            graceful=result.graceful(),
+            graceful=gates["graceful"],
             batch_agreement=round(result.batch_agreement, 4),
             batch_score_max_diff=float(result.batch_score_max_diff),
         )

@@ -17,8 +17,8 @@ This experiment measures that claim and **gates** on it:
   (process-monotone across cells, so recorded but never gated);
 * verdict: at fixed shard size, growing the corpus by k× must grow the
   traced peak by well under k× (``peak_ratio <= 0.6 * size_ratio``).
-  A linear data plane fails this immediately: the CI smoke greps the
-  ``[OK]`` verdict line.
+  A linear data plane fails this immediately, and the ``sublinear``
+  gate makes ``python -m repro.experiments shardscale`` exit 1.
 
 Everything lands in ``BENCH_shardscale.json``.
 """
@@ -80,9 +80,8 @@ class ShardScaleResult:
     verdicts: dict[int, tuple[float, float, bool]]
     seed: int
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, _, ok in self.verdicts.values())
+    def gates(self) -> dict[str, bool]:
+        return {"sublinear": all(ok for _, _, ok in self.verdicts.values())}
 
     def render(self) -> str:
         rows = []
@@ -102,22 +101,18 @@ class ShardScaleResult:
             rows,
             title=f"Shard scaling — peak memory vs corpus size (seed={self.seed})",
         )
-        lines = [table]
-        for shard_size, (size_ratio, peak_ratio, ok) in sorted(
-            self.verdicts.items()
-        ):
-            verdict = "OK" if ok else "FAIL"
-            lines.append(
-                f"peak RSS sublinear at shard_size={shard_size}: "
-                f"{size_ratio:.1f}x rows -> {peak_ratio:.2f}x peak "
-                f"(limit {_SUBLINEAR_SLOPE * size_ratio:.2f}x) [{verdict}]"
-            )
-        if not self.verdicts:
-            lines.append(
-                "peak RSS sublinear: [SKIPPED] — need two corpus sizes "
-                "per shard size to form a ratio"
-            )
-        return "\n".join(lines)
+        ratios = render_table(
+            ["shard", "rows x", "peak x", "limit x", "sublinear"],
+            [
+                [shard_size, f"{size_ratio:.1f}", f"{peak_ratio:.2f}",
+                 f"{_SUBLINEAR_SLOPE * size_ratio:.2f}", "yes" if ok else "NO"]
+                for shard_size, (size_ratio, peak_ratio, ok)
+                in sorted(self.verdicts.items())
+            ],
+            title="(peak growth vs corpus growth per shard size; a ratio "
+                  "needs two corpus sizes)",
+        )
+        return table + "\n\n" + ratios
 
 
 def _stream_points(
@@ -326,7 +321,7 @@ def run_shardscale(
                 }
                 for k, (sr, pr, ok) in verdicts.items()
             },
-            sublinear=result.passed,
+            sublinear=result.gates()["sublinear"],
         )
         artifact.write(bench_dir)
     return result

@@ -108,22 +108,8 @@ class StorageChaosResult:
     wall_seconds: float = 0.0
     reference_metrics: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def holds(self) -> bool:
-        return all(cell.ok for cell in self.cells)
-
-    def verdict(self) -> str:
-        if self.holds:
-            return (
-                "storage chaos verdict: self-healing holds — every faulted "
-                "run completed bit-identical to the reference after repair, "
-                "or failed with a typed error; zero wrong-bytes cases"
-            )
-        bad = [f"{c.fault}@{c.rate}" for c in self.cells if not c.ok]
-        return (
-            f"storage chaos verdict: VIOLATION in {len(bad)} cell(s) "
-            f"({', '.join(bad)}) — see table above"
-        )
+    def gates(self) -> dict[str, bool]:
+        return {"holds": all(cell.ok for cell in self.cells)}
 
     def render(self) -> str:
         rows = []
@@ -153,7 +139,7 @@ class StorageChaosResult:
                 f"seed={self.seed} ({self.wall_seconds:.0f}s)"
             ),
         )
-        return table + "\n" + self.verdict()
+        return table
 
 
 def run_storagechaos(
@@ -294,7 +280,7 @@ def run_storagechaos(
         task=task,
         n_cells=len(cells),
         n_ok=sum(1 for c in cells if c.ok),
-        holds=result.holds,
+        holds=result.gates()["holds"],
         faults_injected=sum(c.faults_injected for c in cells),
         damage_found=sum(c.damage_found for c in cells),
         repaired=sum(c.repaired for c in cells),

@@ -46,5 +46,7 @@ __all__ = [
     "get_graph_builder",
     "neighbor_recall",
     "propagation_auprc_delta",
+    "propagation_feature_spec",
+    "propagation_lfs",
     "register_graph_backend",
 ]

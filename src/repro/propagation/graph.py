@@ -129,12 +129,6 @@ class SimilarityGraph:
         row = self.adjacency.getrow(node)
         return row.indices, row.data
 
-    def to_networkx(self):
-        """Export to a networkx graph (for analysis/examples)."""
-        import networkx as nx
-
-        return nx.from_scipy_sparse_array(self.adjacency)
-
 
 class _FeatureChannel:
     """Precomputed per-feature arrays for blockwise similarity."""

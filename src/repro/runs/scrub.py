@@ -88,6 +88,9 @@ class ScrubReport:
         """No referenced artifact is currently damaged."""
         return self.unrepaired == 0
 
+    def gates(self) -> dict[str, bool]:
+        return {"store_healthy": self.healthy}
+
     def verdict(self) -> str:
         if not self.healthy:
             return (

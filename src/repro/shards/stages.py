@@ -55,7 +55,6 @@ from repro.runs.crash import crash_boundary
 from repro.runs.progress import ProgressManifest
 from repro.runs.store import ArtifactRef, RunStore
 from repro.shards.corpus import ShardedCorpus
-from repro.shards.layout import shard_ranges
 from repro.shards.table import ShardedTable, ShardedTableWriter
 
 __all__ = [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.rng import spawn
-from repro.datagen.entities import Modality
 from repro.resources.aggregates import AggregateStore, NONSERVABLE_SMOOTHING
 
 

@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from repro.experiments.chaos import ChaosResult, run_chaos
+from repro.experiments.chaos import run_chaos
 from repro.experiments.common import ExperimentContext
+from repro.experiments.reporting import no_cliff
 
 
 @pytest.fixture(scope="module")
@@ -44,36 +45,32 @@ class TestChaosExperiment:
             > chaos_result.degraded_fractions[1]
         )
 
-    def test_render_includes_verdict(self, chaos_result):
-        text = chaos_result.render()
-        assert "Chaos sweep" in text
-        assert "avail 1.00" in text
-        assert "degradation is" in text
+    def test_render_includes_verdict(self, chaos_result, monkeypatch, capsys):
+        import repro.experiments.__main__ as cli
+
+        monkeypatch.setattr(cli, "run_chaos", lambda *a, **k: chaos_result)
+        code = cli.main(["chaos"])
+        out = capsys.readouterr().out
+        assert "Chaos sweep" in out
+        assert "avail 1.00" in out
+        graceful = chaos_result.gates()["graceful"]
+        assert f"gate=graceful [{'OK' if graceful else 'FAIL'}]\n" in out
+        assert code == (0 if graceful else 1)
 
     def test_health_reports_collected(self, chaos_result):
         assert len(chaos_result.health_renders) == 3
 
 
 class TestGracefulDefinition:
-    def _result(self, auprcs):
-        n = len(auprcs)
-        return ChaosResult(
-            availabilities=[1.0 - 0.2 * i for i in range(n)],
-            auprcs=list(auprcs),
-            degraded_fractions=[0.0] * n,
-            missing_fractions=[0.0] * n,
-            retries=[0] * n,
-            fallbacks=[0] * n,
-            scale=0.06,
-            seed=7,
-        )
+    def _graceful(self, auprcs):
+        return no_cliff({1.0 - 0.2 * i: a for i, a in enumerate(auprcs)})
 
     def test_smooth_decline_is_graceful(self):
-        assert self._result([0.40, 0.35, 0.28, 0.21]).graceful()
+        assert self._graceful([0.40, 0.35, 0.28, 0.21])
 
     def test_cliff_is_not_graceful(self):
-        assert not self._result([0.40, 0.38, 0.08]).graceful()
+        assert not self._graceful([0.40, 0.38, 0.08])
 
     def test_threshold_is_per_step(self):
         # total loss >50% is fine as long as no single step is a cliff
-        assert self._result([0.40, 0.24, 0.15]).graceful()
+        assert self._graceful([0.40, 0.24, 0.15])

@@ -122,11 +122,8 @@ def test_serve_via_cli(tmp_path, capsys, monkeypatch):
     assert code == 0
     out = capsys.readouterr().out
     assert "Serving under chaos" in out
-    assert (
-        "serving identity: decisions bit-identical across batching, "
-        "cache state, concurrency, and availability"
-    ) in out
-    assert "serving degradation is graceful" in out
+    assert "gate=identity_ok [OK]\n" in out
+    assert "gate=graceful [OK]\n" in out
     data = json.loads((tmp_path / "BENCH_serving.json").read_text())
     assert data["kind"] == "bench"
     metrics = data["metrics"]
@@ -136,3 +133,196 @@ def test_serve_via_cli(tmp_path, capsys, monkeypatch):
     for cell in metrics["cells"]:
         assert cell["identical"] is True
         assert cell["qps"] > 0
+
+
+# ---------------------------------------------------------------------------
+# gate contract: every gated experiment prints one gate=<name> line per
+# gate and the command exits 1 iff one of them failed
+# ---------------------------------------------------------------------------
+def _chaos_result(fail):
+    from repro.experiments.chaos import ChaosResult
+
+    return ChaosResult(
+        availabilities=[1.0, 0.5],
+        auprcs=[0.4, 0.1 if fail == "graceful" else 0.3],
+        degraded_fractions=[0.0, 0.2],
+        missing_fractions=[0.0, 0.1],
+        retries=[0, 5],
+        fallbacks=[0, 2],
+        scale=0.05,
+        seed=1,
+        breaker_trips=[0, 1],
+    )
+
+
+def _crash_result(fail):
+    from repro.experiments.chaos import CrashResumeResult, KillPoint
+    from repro.runs.crash import CRASH_EXIT_CODE
+
+    return CrashResumeResult(
+        task="CT1",
+        scale=0.05,
+        seed=1,
+        baseline_metrics={"auprc": 0.5},
+        kills=[
+            KillPoint("stage:train", CRASH_EXIT_CODE, ["featurize", "curate"],
+                      metrics_match=fail != "crash_safe"),
+        ],
+        corruption_detected=fail != "corruption_detected",
+        quarantined_files=1,
+        run_dir="crash-runs",
+    )
+
+
+def _serve_result(fail):
+    from repro.experiments.serve import ServeResult
+
+    return ServeResult(
+        scale=0.05,
+        seed=1,
+        n_points=10,
+        n_requests=20,
+        warmed=40,
+        cells=[],
+        identity_checks={
+            "warm_fresh": True, "cold_batched": fail != "identity_ok",
+        },
+        availabilities=[1.0, 0.5],
+        cold_agreements=[1.0, 0.2 if fail == "graceful" else 0.9],
+        batch_agreement=1.0,
+        batch_score_max_diff=0.0,
+    )
+
+
+def _multitenant_result(fail):
+    from repro.experiments.multitenant import MultiTenantCell, MultiTenantResult
+
+    cell = MultiTenantCell(
+        n_tenants=2,
+        rate_limit=0.0,
+        wall_s=1.0,
+        throughput=2.0,
+        jain_fairness=1.0,
+        all_ok=fail != "all_complete",
+        auprc_by_availability={
+            1.0: 0.4, 0.5: 0.1 if fail == "all_graceful" else 0.3,
+        },
+    )
+    return MultiTenantResult(
+        cells=[cell],
+        availabilities=[1.0, 0.5],
+        victim="org_embedding",
+        scale=0.05,
+        seed=7,
+        solo_identical=fail != "solo_identical",
+    )
+
+
+def _storagechaos_result(fail):
+    from repro.experiments.storagechaos import ChaosCell, StorageChaosResult
+
+    cell = ChaosCell(
+        fault="bitflip", rate=0.6, outcome="completed", error="",
+        faults_injected=3, damage_found=2, heal_path="resume --auto-repair",
+        repaired=2, healed=True, healthy_after=True, hashes_match=True,
+        metrics_match=fail != "holds", serving_loads=True,
+    )
+    return StorageChaosResult(task="CT1", scale=0.06, seed=1, cells=[cell])
+
+
+def _shardscale_result(fail):
+    from repro.experiments.shardscale import ShardScaleResult
+
+    peak_ratio = 2.5 if fail == "sublinear" else 1.1
+    return ShardScaleResult(
+        cells=[],
+        verdicts={64: (3.0, peak_ratio, peak_ratio <= 1.8)},
+        seed=1,
+    )
+
+
+def _scrub_result(fail):
+    from repro.runs.scrub import ScrubEntry, ScrubReport
+
+    status = "corrupt" if fail == "store_healthy" else "healthy"
+    return ScrubReport(
+        run_dir="scrub-run",
+        entries=[ScrubEntry("train", "model", "ab" * 32, "json", status)],
+    )
+
+
+_GATED = {
+    "chaos": ("run_chaos", _chaos_result, ["graceful"]),
+    "crash": ("run_crash_resume", _crash_result,
+              ["crash_safe", "corruption_detected"]),
+    "serve": ("run_serve", _serve_result, ["identity_ok", "graceful"]),
+    "multitenant": ("run_multitenant", _multitenant_result,
+                    ["all_complete", "all_graceful", "solo_identical"]),
+    "storagechaos": ("run_storagechaos", _storagechaos_result, ["holds"]),
+    "shardscale": ("run_shardscale", _shardscale_result, ["sublinear"]),
+    "scrub": ("run_scrub", _scrub_result, ["store_healthy"]),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, fail",
+    [
+        (name, fail)
+        for name, (_, _, gates) in _GATED.items()
+        for fail in (None, *gates)
+    ],
+)
+def test_gates_set_exit_status(experiment, fail, monkeypatch, capsys):
+    import repro.experiments.__main__ as cli
+
+    runner, make, gates = _GATED[experiment]
+    result = make(fail)
+    monkeypatch.setattr(cli, runner, lambda *args, **kwargs: result)
+    code = main([experiment, "--run-dir", "unused"])
+    assert code == (0 if fail is None else 1)
+    out = capsys.readouterr().out
+    for gate in gates:
+        state = "FAIL" if gate == fail else "OK"
+        assert f"gate={gate} [{state}]\n" in out
+    assert out.count("gate=") == len(gates)
+
+
+def test_solo_identity_gate_only_when_checked():
+    result = _multitenant_result(None)
+    result.solo_identical = None
+    assert list(result.gates()) == ["all_complete", "all_graceful"]
+
+
+def test_all_fails_when_one_experiment_fails(monkeypatch, capsys):
+    """Under ``all`` a failed gate sets the exit status, and the
+    remaining experiments still run."""
+    import repro.experiments.__main__ as cli
+
+    class Ungated:
+        def __init__(self, name):
+            self.name = name
+
+        def render(self):
+            return f"report of {self.name}"
+
+    for runner in (
+        "run_table1", "run_table2", "run_table3", "run_figure5",
+        "run_figure6", "run_figure7", "run_fusion_ablation",
+        "run_lf_comparison", "run_end_to_end", "run_scaling",
+    ):
+        monkeypatch.setattr(
+            cli, runner, lambda *a, _name=runner, **k: Ungated(_name)
+        )
+    monkeypatch.setattr(cli, "run_all_ablations", lambda *a, **k: [])
+    monkeypatch.setattr(cli, "render_ablations", lambda results: "ablations")
+    monkeypatch.setattr(
+        cli, "run_chaos", lambda *a, **k: _chaos_result("graceful")
+    )
+    monkeypatch.setattr(
+        cli, "run_shardscale", lambda *a, **k: _shardscale_result(None)
+    )
+    assert main(["all"]) == 1
+    out = capsys.readouterr().out
+    assert "gate=graceful [FAIL]" in out
+    assert "gate=sublinear [OK]" in out
+    assert "report of run_scaling" in out

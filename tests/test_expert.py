@@ -1,7 +1,5 @@
 """Tests for repro.mining.expert — the simulated domain expert."""
 
-import numpy as np
-
 from repro.labeling.matrix import apply_lfs
 from repro.mining.expert import SimulatedExpert
 

@@ -1,8 +1,5 @@
 """Tests for repro.resources.featurize — the featurization pipeline."""
 
-import numpy as np
-import pytest
-
 from repro.datagen.entities import Modality
 from repro.features.table import MISSING
 from repro.exec import ExecutorConfig

@@ -6,7 +6,7 @@ import pytest
 from repro.core.exceptions import ConfigurationError, NotFittedError
 from repro.datagen.entities import Modality
 from repro.features.schema import FeatureKind, FeatureSchema, FeatureSpec
-from repro.features.table import MISSING, FeatureTable
+from repro.features.table import FeatureTable
 from repro.models.fusion import DeViSE, EarlyFusion, IntermediateFusion
 from repro.models.linear import LogisticRegression
 from repro.models.metrics import auprc

@@ -8,7 +8,7 @@ from repro.datagen.entities import Modality
 from repro.features.distance import SimilarityConfig, algorithm1_similarity, numeric_ranges
 from repro.features.schema import FeatureKind, FeatureSchema, FeatureSpec
 from repro.features.table import MISSING, FeatureTable
-from repro.propagation.graph import GraphConfig, SimilarityGraph, build_knn_graph
+from repro.propagation.graph import GraphConfig, build_knn_graph
 
 
 def _cluster_table(n_per=20, seed=0) -> FeatureTable:
@@ -172,11 +172,3 @@ def test_neighbors_accessor():
     idx, weights = graph.neighbors(0)
     assert len(idx) == len(weights)
     assert len(idx) >= 1
-
-
-def test_to_networkx_roundtrip():
-    table = _cluster_table(n_per=5)
-    graph = build_knn_graph(table, GraphConfig(k=2))
-    nx_graph = graph.to_networkx()
-    assert nx_graph.number_of_nodes() == graph.n_nodes
-    assert nx_graph.number_of_edges() == graph.n_edges()

@@ -11,7 +11,6 @@ from repro.runs import (
     RepairEngine,
     RunCheckpointer,
     RunManifest,
-    RunStore,
     verify_and_restore,
 )
 

@@ -1,9 +1,6 @@
 """Tests for repro.resources.rules — rule-based services."""
 
-import numpy as np
-
 from repro.core.rng import spawn
-from repro.datagen.entities import Modality
 from repro.resources.rules import heavy_poster_rule, keyword_watchlist_rule
 
 

@@ -88,23 +88,22 @@ def test_report_populated():
 
 
 def test_iterative_cost_exceeds_one_pass_mining():
-    """The structural claim behind §4.3: greedy re-scoring rounds cost
-    more than one-pass itemset mining on the same dev table."""
-    import time
-
+    """The structural claim behind §4.3: greedy re-scoring rounds do
+    more work than one-pass itemset mining on the same dev table."""
     from repro.mining.lf_generator import MinedLFGenerator
 
     table = _dev_table(n=1500, seed=2)
-    t0 = time.perf_counter()
-    MinedLFGenerator().generate(table)
-    miner_time = time.perf_counter() - t0
+    miner = MinedLFGenerator()
+    miner.generate(table)
+    mined = miner.report_.n_candidates_considered
 
     generator = SnubaGenerator(max_heuristics=20)
     generator.generate(table)
-    snuba_time = generator.report_.wall_clock_seconds
-    # not asserting a strict ratio (machine noise), just that snuba is
-    # not radically cheaper, which would falsify the paper's rationale
-    assert snuba_time > 0.3 * miner_time
+    report = generator.report_
+    # round r trial-scores each of the n_candidates - r candidates still
+    # remaining; the miner considers each of its candidates once
+    rescored = sum(report.n_candidates - r for r in range(report.n_rounds))
+    assert rescored > mined
 
 
 def test_validation():

@@ -6,13 +6,11 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.datagen.entities import Modality
 from repro.datagen.tasks import (
-    TASK_REGISTRY,
     build_definition,
     classification_task,
     generate_task_corpora,
     list_tasks,
 )
-from repro.datagen.world import World
 
 
 def test_registry_has_five_tasks():
