@@ -15,7 +15,10 @@ Gates (see :meth:`MultiTenantResult.gates`):
 * ``all_complete`` — every tenant finishes, even shed ones; zero
   unhandled exceptions;
 * ``all_graceful`` — mean tenant AUPRC declines smoothly with victim
-  availability (the chaos experiment's no-cliff rule, per cell);
+  availability (the chaos experiment's no-cliff rule, per cell).  Only
+  cells whose tenants ran at two or more availability levels are
+  judged (a two-tenant cell is one level: tenant 1 is tenant 0's dedup
+  twin), and the gate fails when no cell is judged;
 * ``solo_identical`` — a tenant's outputs are bit-identical to the
   same config run solo (fingerprints + artifact content hashes),
   proving the shared machinery is pacing-only.
@@ -136,6 +139,13 @@ class MultiTenantCell:
     retries: int = 0
     errors: list[str] = field(default_factory=list)
 
+    def graceful(self) -> bool | None:
+        """The no-cliff verdict; None when the tenants ran at a single
+        availability level, which leaves no step to judge."""
+        if len(self.auprc_by_availability) < 2:
+            return None
+        return no_cliff(self.auprc_by_availability)
+
 
 @dataclass
 class MultiTenantResult:
@@ -151,11 +161,11 @@ class MultiTenantResult:
     solo_identical: bool | None = None
 
     def gates(self) -> dict[str, bool]:
+        judged = [g for c in self.cells if (g := c.graceful()) is not None]
         gates = {
             "all_complete": all(c.all_ok for c in self.cells),
-            "all_graceful": all(
-                no_cliff(c.auprc_by_availability) for c in self.cells
-            ),
+            # no judged cell means the no-cliff rule checked nothing
+            "all_graceful": bool(judged) and all(judged),
         }
         if self.solo_identical is not None:
             gates["solo_identical"] = self.solo_identical
@@ -181,15 +191,14 @@ class MultiTenantResult:
                     c.shed_items + c.shed_tenants,
                     c.dedup_hits,
                     c.deadline_exceeded,
-                    "ok"
-                    if c.all_ok and no_cliff(c.auprc_by_availability)
-                    else "FAIL",
+                    {True: "ok", False: "FAIL", None: "unjudged"}[c.graceful()],
+                    "ok" if c.all_ok else "FAIL",
                 ]
             )
         table = render_table(
             ["tenants", "victim qps", "wall", "Jain",
              "AUPRC by availability", "trips", "shed", "dedup",
-             "deadline", "verdict"],
+             "deadline", "no-cliff", "complete"],
             rows,
             title=(
                 f"Multi-tenant chaos under contention — victim "
@@ -321,7 +330,7 @@ def run_multitenant(
                     "throughput_runs_per_s": round(cell.throughput, 4),
                     "jain_fairness": round(cell.jain_fairness, 4),
                     "all_ok": cell.all_ok,
-                    "graceful": no_cliff(cell.auprc_by_availability),
+                    "graceful": cell.graceful(),
                     "auprc_by_availability": {
                         str(a): round(v, 4)
                         for a, v in cell.auprc_by_availability.items()

@@ -81,7 +81,11 @@ class ShardScaleResult:
     seed: int
 
     def gates(self) -> dict[str, bool]:
-        return {"sublinear": all(ok for _, _, ok in self.verdicts.values())}
+        # a sweep that formed no size ratio has shown nothing, so it fails
+        return {
+            "sublinear": bool(self.verdicts)
+            and all(ok for _, _, ok in self.verdicts.values())
+        }
 
     def render(self) -> str:
         rows = []
@@ -112,6 +116,11 @@ class ShardScaleResult:
             title="(peak growth vs corpus growth per shard size; a ratio "
                   "needs two corpus sizes)",
         )
+        if not self.verdicts:
+            ratios += (
+                "\nno size ratio formed: every shard size ran one corpus "
+                "size, so sublinearity is unjudged and the gate fails"
+            )
         return table + "\n\n" + ratios
 
 

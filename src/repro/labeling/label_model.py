@@ -166,8 +166,11 @@ class GenerativeLabelModel:
         pi = self.class_balance if self.class_balance is not None else 0.5
 
         info = LabelModelInfo()
+        # one log p(λ | y) per table: the trace entry for ``new_table``
+        # and the next E-step share it
+        loglik = self._class_loglik(onehot, table)
         for iteration in range(1, self.max_iter + 1):
-            q = self._posterior(onehot, table, pi)
+            q = self._posterior(loglik, pi)
             # M-step: expected vote counts per class
             counts_pos = np.einsum("i,ijv->jv", q, onehot)
             counts_neg = np.einsum("i,ijv->jv", 1.0 - q, onehot)
@@ -177,9 +180,8 @@ class GenerativeLabelModel:
                 new_table = self._enforce_polarity(new_table)
             if self.class_balance is None:
                 pi = float(np.clip(q.mean(), _EPS, 1.0 - _EPS))
-            info.log_likelihood.append(
-                self._log_likelihood(onehot, new_table, pi)
-            )
+            loglik = self._class_loglik(onehot, new_table)
+            info.log_likelihood.append(self._log_likelihood(loglik, pi))
             delta = float(np.abs(new_table - table).max())
             table = new_table
             info.n_iterations = iteration
@@ -226,17 +228,13 @@ class GenerativeLabelModel:
         log_table = np.log(table.clip(_EPS))  # (m, 2, 3)
         return np.einsum("ijv,jyv->iy", onehot, log_table)
 
-    def _posterior(
-        self, onehot: np.ndarray, table: np.ndarray, pi: float
-    ) -> np.ndarray:
-        loglik = self._class_loglik(onehot, table)
+    @staticmethod
+    def _posterior(loglik: np.ndarray, pi: float) -> np.ndarray:
         z = loglik[:, 0] - loglik[:, 1] + np.log(pi) - np.log(1.0 - pi)
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
-    def _log_likelihood(
-        self, onehot: np.ndarray, table: np.ndarray, pi: float
-    ) -> float:
-        loglik = self._class_loglik(onehot, table)
+    @staticmethod
+    def _log_likelihood(loglik: np.ndarray, pi: float) -> float:
         stacked = loglik + np.log([pi, 1.0 - pi])
         m = stacked.max(axis=1)
         return float((m + np.log(np.exp(stacked - m[:, None]).sum(axis=1))).mean())
@@ -255,8 +253,8 @@ class GenerativeLabelModel:
                 f"matrix has {matrix.n_lfs} LFs; model was fit with "
                 f"{self.conditionals_.shape[0]}"
             )
-        onehot = self._onehot(matrix.votes)
-        proba = self._posterior(onehot, self.conditionals_, self.balance_)
+        loglik = self._class_loglik(self._onehot(matrix.votes), self.conditionals_)
+        proba = self._posterior(loglik, self.balance_)
         uncovered = (matrix.votes != 0).sum(axis=1) == 0
         proba[uncovered] = self.balance_
         return proba

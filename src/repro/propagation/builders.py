@@ -103,7 +103,7 @@ class GraphBuilder(abc.ABC):
 # ----------------------------------------------------------------------
 @register_graph_backend("exact")
 class ExactGraphBuilder(GraphBuilder):
-    """Blockwise dense sweep over every pair; bit-identical to the
+    """Blockwise sweep over every pair; bit-identical to the
     pre-backend implementation and the recall oracle for the others."""
 
     def build(self, channels, n, k, config, executor, span):

@@ -152,46 +152,72 @@ class _FeatureChannel:
         numerator: np.ndarray,
         denominator: np.ndarray,
     ) -> None:
+        """Add this channel's weighted similarity to a (block, n) panel.
+
+        Byte-identical to the dense formula
+        ``numerator += weight * sim * co_present`` (and
+        ``denominator += weight * co_present``), without its panels: a
+        pair that is not co-present (or, for categorical channels, has
+        an empty intersection and not two empty sets) contributes ±0.0,
+        and a sum that starts at +0.0 never becomes −0.0, so skipping
+        those addends is exact.  Every remaining addend goes through the
+        same float32 ops as the dense formula, in channel order.
+        """
         present = self.present
         assert present is not None
-        co_present = np.outer(present[block], present).astype(np.float32)
-        if not co_present.any():
+        block_present = present[block]
+        if not (block_present.any() and present.any()):
             return
+        co_present = (
+            True
+            if block_present.all() and present.all()
+            else np.logical_and.outer(block_present, present)
+        )
         if self.kind is FeatureKind.CATEGORICAL:
-            sim = self._categorical_block(block)
-        elif self.kind is FeatureKind.NUMERIC:
-            sim = self._numeric_block(block)
+            self._add_categorical(block, block_present, numerator)
         else:
-            sim = self._embedding_block(block)
-        numerator += self.weight * sim * co_present
-        denominator += self.weight * co_present
+            sim = (
+                self._numeric_block(block)
+                if self.kind is FeatureKind.NUMERIC
+                else self._embedding_block(block)
+            )
+            np.add(numerator, self.weight * sim, out=numerator, where=co_present)
+        np.add(denominator, self.weight, out=denominator, where=co_present)
 
-    def _categorical_block(self, block: slice) -> np.ndarray:
+    def _add_categorical(
+        self, block: slice, block_present: np.ndarray, numerator: np.ndarray
+    ) -> None:
+        """Add ``weight * Jaccard`` on the pairs where it is nonzero: the
+        nonzeros of the sparse intersection (only present rows carry
+        tokens, so these pairs are co-present) and the co-present pairs
+        whose sets are both empty, since Jaccard(∅, ∅) := 1."""
         assert self.binary is not None and self.set_sizes is not None
-        # binary is float32 CSR, so the intersection matmul stays float32
-        # end-to-end; .toarray() avoids the np.matrix round-trip (and its
-        # extra dense copy) that .todense() incurs
-        inter = (self.binary[block] @ self.binary.T).toarray()
-        sizes_block = self.set_sizes[block][:, None]
-        union = sizes_block + self.set_sizes[None, :] - inter
-        sim = np.zeros_like(inter)
-        nonzero = union > 0
-        sim[nonzero] = inter[nonzero] / union[nonzero]
-        # Jaccard(∅, ∅) := 1 (both endpoints agree the feature is empty)
-        both_empty = (sizes_block == 0) & (self.set_sizes[None, :] == 0)
-        sim[both_empty] = 1.0
-        return sim
+        sizes = self.set_sizes
+        # binary is float32 CSR, so the intersection counts stay float32
+        inter = self.binary[block] @ self.binary.T
+        rows = np.repeat(np.arange(inter.shape[0]), np.diff(inter.indptr))
+        cols = inter.indices
+        union = sizes[block][rows] + sizes[cols] - inter.data
+        numerator[rows, cols] += self.weight * (inter.data / union)
+        empty_rows = np.flatnonzero(block_present & (sizes[block] == 0))
+        empty_cols = np.flatnonzero(self.present & (sizes == 0))
+        if empty_rows.size and empty_cols.size:
+            numerator[np.ix_(empty_rows, empty_cols)] += self.weight
 
     def _numeric_block(self, block: slice) -> np.ndarray:
         assert self.values is not None
-        diff = np.abs(self.values[block][:, None] - self.values[None, :])
-        sim = 1.0 - diff / self.value_range
-        return np.clip(sim, 0.0, 1.0).astype(np.float32)
+        sim = self.values[block][:, None] - self.values[None, :]
+        np.abs(sim, out=sim)
+        sim /= self.value_range
+        np.subtract(1.0, sim, out=sim)
+        return np.clip(sim, 0.0, 1.0, out=sim)
 
     def _embedding_block(self, block: slice) -> np.ndarray:
         assert self.matrix is not None
-        cosine = self.matrix[block] @ self.matrix.T
-        return (0.5 * (cosine + 1.0)).astype(np.float32)
+        sim = self.matrix[block] @ self.matrix.T
+        sim += 1.0
+        sim *= 0.5
+        return sim
 
     def accumulate_pairs(
         self,
@@ -350,11 +376,10 @@ class _GraphBlockTask:
         denominator = np.zeros((b, self.n), dtype=np.float32)
         for channel in self.channels:
             channel.accumulate(block, numerator, denominator)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(denominator > 0, numerator / denominator, 0.0)
+        # a pair no channel covers keeps its +0.0 numerator as similarity
+        sim = np.divide(numerator, denominator, out=numerator, where=denominator > 0)
         # no self-loops
-        for i in range(b):
-            sim[i, start + i] = -1.0
+        sim[np.arange(b), np.arange(start, stop)] = -1.0
         top = np.argpartition(-sim, kth=self.k - 1, axis=1)[:, : self.k]
         block_rows = np.repeat(np.arange(start, stop), self.k)
         block_cols = top.ravel()

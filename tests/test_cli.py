@@ -1,5 +1,7 @@
 """Tests for the experiments CLI (python -m repro.experiments)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -293,6 +295,14 @@ def test_solo_identity_gate_only_when_checked():
     assert list(result.gates()) == ["all_complete", "all_graceful"]
 
 
+def test_multitenant_gate_skips_unjudged_cells():
+    result = _multitenant_result(None)
+    result.cells.append(replace(result.cells[0], auprc_by_availability={1.0: 0.1}))
+    assert result.gates()["all_graceful"] is True
+    result.cells = result.cells[1:]
+    assert result.gates()["all_graceful"] is False
+
+
 def test_all_fails_when_one_experiment_fails(monkeypatch, capsys):
     """Under ``all`` a failed gate sets the exit status, and the
     remaining experiments still run."""
@@ -326,3 +336,44 @@ def test_all_fails_when_one_experiment_fails(monkeypatch, capsys):
     assert "gate=graceful [FAIL]" in out
     assert "gate=sublinear [OK]" in out
     assert "report of run_scaling" in out
+
+
+def test_shardscale_without_a_size_ratio_fails(tmp_path, capsys):
+    """One corpus size forms no ratio, so sublinearity is unjudged."""
+    import json
+
+    code = main([
+        "shardscale", "--sizes", "100", "--shard-sizes", "64",
+        "--run-dir", str(tmp_path),
+    ])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "no size ratio formed" in out
+    assert "gate=sublinear [FAIL]\n" in out
+    data = json.loads((tmp_path / "BENCH_shardscale.json").read_text())
+    assert data["metrics"]["sublinear"] is False
+
+
+_MT_ARGS = [
+    "multitenant", "--scale", "0.05", "--seed", "7", "--rate-limits", "0",
+    "--availabilities", "1.0", "0.5", "--workers", "2",
+]
+
+
+def test_multitenant_two_tenants_leave_no_cliff_unjudged(tmp_path, capsys):
+    """Tenant 1 is tenant 0's dedup twin, so a two-tenant cell runs at
+    one availability level and the no-cliff rule has nothing to check."""
+    code = main([*_MT_ARGS, "--tenants", "2", "--run-dir", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "unjudged" in out
+    assert "gate=all_graceful [FAIL]\n" in out
+    assert "gate=all_complete [OK]\n" in out
+
+
+def test_multitenant_six_tenant_cell_is_judged(tmp_path, capsys):
+    code = main([*_MT_ARGS, "--tenants", "6", "--run-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "unjudged" not in out
+    assert "gate=all_graceful [OK]\n" in out

@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.exceptions import LabelingError, NotFittedError
 from repro.core.rng import make_rng
-from repro.labeling.label_model import GenerativeLabelModel, conditional_table
+from repro.labeling.label_model import (
+    GenerativeLabelModel,
+    LabelModelInfo,
+    conditional_table,
+)
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.matrix import LabelMatrix
 
@@ -156,3 +160,115 @@ def test_lf_summary_fields(tiny_curation):
     for row in summary:
         assert 0.0 <= row["learned_accuracy"] <= 1.0
         assert 0.0 <= row["coverage"] <= 1.0
+
+
+class _ReferenceEM(GenerativeLabelModel):
+    """The EM loop before the log-likelihood reuse, kept verbatim: it
+    computes ``_class_loglik`` twice per iteration, once for the trace
+    and once more in the next E-step."""
+
+    def fit(self, matrix, accuracy_anchors=None, anchor_strength=50.0):
+        votes = matrix.votes
+        n, m = votes.shape
+        onehot = self._onehot(votes)  # (n, m, 3)
+
+        if accuracy_anchors is not None:
+            anchors = np.asarray(accuracy_anchors, dtype=float)
+            prior = anchors * anchor_strength
+            table = self._normalize(prior + self.smoothing)
+        else:
+            prior = np.full((m, 2, 3), self.smoothing)
+            freq = onehot.mean(axis=0) + 1e-3  # (m, 3) in order (+1,0,-1)
+            tilt_pos = freq * np.array([1.6, 1.0, 0.4])
+            tilt_neg = freq * np.array([0.4, 1.0, 1.6])
+            table = self._normalize(np.stack([tilt_pos, tilt_neg], axis=1))
+
+        pi = self.class_balance if self.class_balance is not None else 0.5
+
+        info = LabelModelInfo()
+        for iteration in range(1, self.max_iter + 1):
+            q = self._reference_posterior(onehot, table, pi)
+            # M-step: expected vote counts per class
+            counts_pos = np.einsum("i,ijv->jv", q, onehot)
+            counts_neg = np.einsum("i,ijv->jv", 1.0 - q, onehot)
+            new_table = np.stack([counts_pos, counts_neg], axis=1) + prior
+            new_table = self._normalize(new_table)
+            if self.polarity_consistent:
+                new_table = self._enforce_polarity(new_table)
+            if self.class_balance is None:
+                pi = float(np.clip(q.mean(), 1e-9, 1.0 - 1e-9))
+            info.log_likelihood.append(
+                self._reference_log_likelihood(onehot, new_table, pi)
+            )
+            delta = float(np.abs(new_table - table).max())
+            table = new_table
+            info.n_iterations = iteration
+            if delta < self.tol:
+                info.converged = True
+                break
+
+        self.conditionals_ = table
+        self.balance_ = float(pi)
+        self.info_ = info
+        return self
+
+    def _reference_posterior(self, onehot, table, pi):
+        loglik = self._class_loglik(onehot, table)
+        z = loglik[:, 0] - loglik[:, 1] + np.log(pi) - np.log(1.0 - pi)
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+    def _reference_log_likelihood(self, onehot, table, pi):
+        loglik = self._class_loglik(onehot, table)
+        stacked = loglik + np.log([pi, 1.0 - pi])
+        m = stacked.max(axis=1)
+        return float((m + np.log(np.exp(stacked - m[:, None]).sum(axis=1))).mean())
+
+    def predict_proba(self, matrix):
+        onehot = self._onehot(matrix.votes)
+        proba = self._reference_posterior(onehot, self.conditionals_, self.balance_)
+        uncovered = (matrix.votes != 0).sum(axis=1) == 0
+        proba[uncovered] = self.balance_
+        return proba
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("class_balance", [None, 0.3])
+@pytest.mark.parametrize("polarity_consistent", [False, True])
+@pytest.mark.parametrize("max_iter", [100, 3])
+def test_em_loglik_reuse_is_bit_identical(
+    monkeypatch, anchored, class_balance, polarity_consistent, max_iter
+):
+    """One ``_class_loglik`` per table: same parameters, trace and
+    posteriors as the reference loop, from ``n_iterations + 1`` calls."""
+    matrix, y = _synthetic_votes(
+        900, [0.85, 0.7, 0.6, 0.75], [0.6, 0.5, 0.4, 0.3], seed=11
+    )
+    anchors = conditional_table(matrix.votes, y) if anchored else None
+    kwargs = dict(
+        class_balance=class_balance,
+        max_iter=max_iter,
+        polarity_consistent=polarity_consistent,
+    )
+    reference = _ReferenceEM(**kwargs).fit(matrix, accuracy_anchors=anchors)
+
+    calls = []
+    real = GenerativeLabelModel._class_loglik
+
+    def spy(onehot, table):
+        calls.append(1)
+        return real(onehot, table)
+
+    monkeypatch.setattr(GenerativeLabelModel, "_class_loglik", staticmethod(spy))
+    model = GenerativeLabelModel(**kwargs).fit(matrix, accuracy_anchors=anchors)
+    assert len(calls) == model.info_.n_iterations + 1
+    monkeypatch.undo()
+
+    assert model.conditionals_.tobytes() == reference.conditionals_.tobytes()
+    assert model.balance_ == reference.balance_
+    assert model.info_.log_likelihood == reference.info_.log_likelihood
+    assert model.info_.n_iterations == reference.info_.n_iterations
+    assert model.info_.converged == reference.info_.converged
+    assert (
+        model.predict_proba(matrix).tobytes()
+        == reference.predict_proba(matrix).tobytes()
+    )
