@@ -50,10 +50,9 @@ class CurationConfig:
     #: including unstructured features such as image embeddings")
     graph_k: int = 20
     graph_embedding_weight: float = 6.0
-    #: graph construction backend ("exact", "lsh", "nn-descent"); the
-    #: approximate backends change which candidate pairs are considered
-    #: (never edge weights), so this knob — unlike the exec backend — is
-    #: part of the run fingerprint
+    #: graph construction backend ("exact" or "lsh"); lsh changes which
+    #: candidate pairs are considered (never edge weights), so this knob
+    #: — unlike the exec backend — is part of the run fingerprint
     graph_backend: str = "exact"
     #: blend the raw propagation score into the probabilistic labels
     #: with a dev-tuned weight (§4.4: the score "can also be used as a
@@ -71,7 +70,7 @@ class CurationConfig:
             )
         if self.max_order < 1:
             raise ConfigurationError("max_order must be >= 1")
-        from repro.propagation.builders import GRAPH_BACKENDS
+        from repro.propagation.graph import GRAPH_BACKENDS
 
         if self.graph_backend not in GRAPH_BACKENDS:
             raise ConfigurationError(

@@ -829,9 +829,10 @@ def _encode_feature_tables(tables: dict) -> dict:
     downstream fingerprints stay Merkle-pinned), ``text/shard00003`` the
     rows part and ``text/shard00003.dense`` the binary dense part of
     shard 3.  Listing the shards individually is what lets ``scrub
-    --repair`` audit and heal exactly the damaged shard.  Re-reading the
-    payloads here is O(corpus) at the stage boundary; the streaming
-    plane (:mod:`repro.shards.stages`) never goes through this codec.
+    --repair`` audit and heal exactly the damaged shard.  The payloads
+    are O(corpus) at the stage boundary, read once: the handle keeps
+    them for :func:`_materialize_tables`.  The streaming plane
+    (:mod:`repro.shards.stages`) never goes through this codec.
     """
     out: dict = {}
     for key, table in tables.items():
@@ -839,30 +840,40 @@ def _encode_feature_tables(tables: dict) -> dict:
             out[key] = ("feature_table", table_to_dict(table))
             continue
         out[key] = (MANIFEST_KIND, table.manifest)
-        for index in range(table.n_shards):
-            rows_ref, dense_ref = table.shard_refs(index)
-            out[f"{key}/shard{index:05d}"] = (
-                ROWS_KIND,
-                table.reader.read_json(rows_ref),
-            )
-            if dense_ref is not None:
-                out[f"{key}/shard{index:05d}.dense"] = (
-                    DENSE_KIND,
-                    table.reader.read_bytes(dense_ref),
-                )
+        for index, (rows_doc, dense) in enumerate(table.read_payloads()):
+            name = _shard_artifact(key, index)
+            out[name] = (ROWS_KIND, rows_doc)
+            if dense is not None:
+                out[f"{name}.dense"] = (DENSE_KIND, dense)
     return out
+
+
+def _shard_artifact(key: str, index: int) -> str:
+    return f"{key}/shard{index:05d}"
 
 
 def _decode_feature_tables(payloads: dict, store: RunStore) -> dict:
     """Tables from their payloads; sharded-table manifests rebind to
-    :class:`~repro.shards.table.ShardedTable` handles (the per-shard
-    payloads ride along for repair; the handles re-read them through the
-    verifying store path on demand)."""
-    return {
-        key: ShardedTable(store, doc) if "shards" in doc else table_from_dict(doc)
-        for key, doc in payloads.items()
-        if "/" not in key
-    }
+    :class:`~repro.shards.table.ShardedTable` handles.  A replay hands
+    over every shard payload too, and the handles keep them for
+    :func:`_materialize_tables`; given the manifest alone (lineage
+    repair reads one artifact), a handle reads its shards on demand
+    through the verifying store path."""
+    tables: dict = {}
+    for key, doc in payloads.items():
+        if "/" in key:
+            continue
+        if "shards" not in doc:
+            tables[key] = table_from_dict(doc)
+            continue
+        names = [_shard_artifact(key, i) for i in range(len(doc["shards"]))]
+        shard_payloads = (
+            [(payloads[name], payloads.get(f"{name}.dense")) for name in names]
+            if all(name in payloads for name in names)
+            else None
+        )
+        tables[key] = ShardedTable(store, doc, payloads=shard_payloads)
+    return tables
 
 
 def _materialize_tables(tables: dict) -> dict:

@@ -19,7 +19,7 @@ Regenerate any of the paper's tables/figures from the shell:
     python -m repro.experiments all
 
 Exit status: each gated experiment (chaos, crash, serve, multitenant,
-storagechaos, shardscale, scrub) prints one ``gate=<name> [OK|FAIL]``
+storagechaos, shardscale, scrub, scaling) prints one ``gate=<name> [OK|FAIL]``
 line per guarantee it checks after its report.  The command exits 0
 when every gate of every experiment run passed (experiments without
 gates always pass), 1 when any gate failed, and 2 on a usage error.
@@ -59,12 +59,12 @@ pure performance knob.
 
 Graph backends (see DESIGN.md "Approximate graph construction"):
 
-    --graph-backend B  exact | lsh | nn-descent — kNN graph construction
-                       for the curation stage (end_to_end) and the
-                       scaling sweep; approximate backends change which
-                       candidate pairs are considered (never edge
-                       weights), so — unlike --backend — this knob IS
-                       part of the run fingerprint
+    --graph-backend B  exact | lsh — kNN graph construction for the
+                       curation stage (end_to_end) and the scaling
+                       sweep; lsh changes which candidate pairs are
+                       considered (never edge weights), so — unlike
+                       --backend — this knob IS part of the run
+                       fingerprint
     --sizes N [N ...]  corpus sizes for the scaling sweep
 
     python -m repro.experiments scaling --sizes 600 1200 2400
@@ -161,6 +161,7 @@ from repro.experiments.serve import (
 from repro.experiments.shardscale import run_shardscale
 from repro.experiments.storagechaos import run_storagechaos
 from repro.experiments.table1 import run_table1
+from repro.propagation.graph import GRAPH_BACKENDS
 from repro.runs import FAULT_TYPES
 
 _EXPERIMENTS = (
@@ -368,15 +369,14 @@ def main(argv: list[str] | None = None) -> int:
                              "byte-identical artifacts")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the thread/process backends")
-    from repro.propagation.builders import GRAPH_BACKENDS
-
-    parser.add_argument("--graph-backend", choices=sorted(GRAPH_BACKENDS),
+    parser.add_argument("--graph-backend", choices=GRAPH_BACKENDS,
                         default=None,
-                        help="kNN graph construction backend (end_to_end: "
-                             "curation graph; scaling: restrict the sweep "
-                             "to this backend). Approximate backends change "
-                             "results, so checkpoints are not shared across "
-                             "graph backends")
+                        help="kNN graph construction backend, exact or lsh "
+                             "(end_to_end: curation graph; scaling: "
+                             "restrict the sweep to this backend, and an "
+                             "exact-only sweep fails the lsh gates). lsh "
+                             "changes results, so checkpoints are not "
+                             "shared across graph backends")
     parser.add_argument("--sizes", type=int, nargs="*", default=None,
                         help="scaling: corpus sizes to sweep "
                              "(default 600 1200 2400 4800 9600); "

@@ -270,7 +270,7 @@ def run_end_to_end(
     can resume on another.
 
     ``graph_backend`` selects kNN graph construction for the curation
-    stage (exact | lsh | nn-descent).  Unlike the exec backend it
+    stage (exact | lsh).  Unlike the exec backend it
     changes results, so it IS part of the curate-stage fingerprint: a
     checkpointed run never silently reuses a graph built by a different
     backend.

@@ -5,7 +5,7 @@ pipeline and "millions of users" world sizes (ROADMAP).  This
 experiment sweeps corpus size × graph backend and measures, per cell:
 
 * build wall time plus per-stage timings from the obs spans
-  (channel prep, hashing/seeding, scoring/iteration, symmetrization);
+  (channel prep, hashing, bucketing, scoring, symmetrization);
 * structural quality against the exact oracle at the same size
   (:func:`~repro.propagation.recall.compare_graphs`);
 * downstream quality: AUPRC of label propagation over the approximate
@@ -19,6 +19,12 @@ benchmark is self-contained — no world generation in the timing path.
 
 Everything lands in ``BENCH_scaling.json``: the artifact that shows
 near-linear approximate builds where the exact build is quadratic.
+
+Gates (:meth:`ScalingResult.gates`), on every lsh cell at every size:
+``exact_scoring`` (shared edges carry the oracle's weights),
+``recall`` (neighbour recall) and ``downstream`` (propagation AUPRC
+delta).  The wall-clock targets are recorded, never gated: they
+measure the host as much as the program.
 """
 
 from __future__ import annotations
@@ -47,13 +53,19 @@ __all__ = [
 ]
 
 DEFAULT_SIZES = (600, 1200, 2400, 4800, 9600)
-DEFAULT_BACKENDS = ("exact", "lsh", "nn-descent")
+DEFAULT_BACKENDS = ("exact", "lsh")
 
 #: per-stage spans worth splitting out in the artifact, by backend
 _STAGE_SPANS = (
-    "graph.channels", "graph.hash", "graph.bucket", "graph.init",
-    "graph.iterate", "graph.score", "graph.symmetrize",
+    "graph.channels", "graph.hash", "graph.bucket", "graph.score",
+    "graph.symmetrize",
 )
+
+#: gate bounds on every lsh cell: max |weight - oracle weight| over
+#: shared edges, neighbour-recall floor, max |AUPRC delta|
+MAX_WEIGHT_DIVERGENCE = 1e-6
+RECALL_FLOOR = 0.9
+MAX_AUPRC_DELTA = 0.02
 
 
 def planted_table(
@@ -140,6 +152,19 @@ class ScalingResult:
                 return c
         raise KeyError((size, backend))
 
+    def gates(self) -> dict[str, bool]:
+        # a sweep without an lsh cell has judged nothing, so it fails
+        lsh = [c for c in self.cells if c.backend == "lsh"]
+        return {
+            "exact_scoring": bool(lsh) and all(
+                c.max_weight_divergence <= MAX_WEIGHT_DIVERGENCE for c in lsh
+            ),
+            "recall": bool(lsh)
+            and all(c.neighbor_recall >= RECALL_FLOOR for c in lsh),
+            "downstream": bool(lsh)
+            and all(abs(c.auprc_delta) <= MAX_AUPRC_DELTA for c in lsh),
+        }
+
     def render(self) -> str:
         rows = []
         for c in self.cells:
@@ -162,6 +187,11 @@ class ScalingResult:
                 f"(k={self.k}, seed={self.seed})"
             ),
         )
+        if not any(c.backend == "lsh" for c in self.cells):
+            table += (
+                "\nno lsh cell measured: the quality gates judge lsh "
+                "against the exact oracle, so they fail"
+            )
         if self.artifact_path:
             table += f"\n[bench artifact: {self.artifact_path}]"
         return table
@@ -301,8 +331,12 @@ def run_scaling(
         if cell is not None:
             artifact.record(**{
                 f"{backend}_meets_wall_target": cell.speedup_vs_exact > 2.0,
-                f"{backend}_meets_recall_target": cell.neighbor_recall >= 0.9,
-                f"{backend}_meets_auprc_target": abs(cell.auprc_delta) <= 0.02,
+                f"{backend}_meets_recall_target": (
+                    cell.neighbor_recall >= RECALL_FLOOR
+                ),
+                f"{backend}_meets_auprc_target": (
+                    abs(cell.auprc_delta) <= MAX_AUPRC_DELTA
+                ),
             })
     artifact.record(sizes=list(sizes), backends=list(backends), k=k)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import repro.obs as obs
 from repro.core.config import CurationConfig, PipelineConfig, TrainingConfig
-from repro.core.exceptions import RepairError
+from repro.core.exceptions import ConfigurationError, RepairError
 from repro.experiments.end_to_end import build_pipeline_for_run
 from repro.obs.bench import BenchArtifact
 from repro.runs import RepairEngine, RunManifest, RunStore, ScrubReport, scrub_run
@@ -37,7 +37,8 @@ def rebuild_end_to_end(manifest: RunManifest):
     config, service-set selections) are read back from the recorded
     stage configs, so a run launched with non-default flags replays
     faithfully.  Raises :class:`RepairError` for manifests this build
-    cannot replay (other experiments, incompatible config schemas).
+    cannot replay (other experiments, incompatible config schemas,
+    recorded values this build rejects — e.g. a retired graph backend).
     """
     context = manifest.context
     if context.get("experiment") != "end_to_end":
@@ -82,12 +83,13 @@ def rebuild_end_to_end(manifest: RunManifest):
                 config_kwargs["include_image_features"] = bool(
                     train.config["include_image_features"]
                 )
-    except TypeError as exc:
+        config = PipelineConfig(**config_kwargs)
+    except (TypeError, ConfigurationError) as exc:
         raise RepairError(
             f"recorded stage configs do not match this build's config schema "
             f"({exc}); the run was written by an incompatible version"
         ) from exc
-    return build_pipeline_for_run(task, scale, seed, PipelineConfig(**config_kwargs))
+    return build_pipeline_for_run(task, scale, seed, config)
 
 
 def make_repair_engine(

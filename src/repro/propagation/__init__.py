@@ -12,13 +12,12 @@ A streaming single-pass approximation mirrors the Expander platform the
 paper uses in production.
 """
 
-from repro.propagation.builders import (
+from repro.propagation.graph import (
     GRAPH_BACKENDS,
-    GraphBuilder,
-    get_graph_builder,
-    register_graph_backend,
+    GraphConfig,
+    SimilarityGraph,
+    build_knn_graph,
 )
-from repro.propagation.graph import GraphConfig, SimilarityGraph, build_knn_graph
 from repro.propagation.propagate import LabelPropagation, PropagationResult
 from repro.propagation.recall import (
     GraphQuality,
@@ -32,7 +31,6 @@ from repro.propagation.lf_adapter import PROPAGATION_FEATURE, propagation_lfs, p
 
 __all__ = [
     "GRAPH_BACKENDS",
-    "GraphBuilder",
     "GraphConfig",
     "GraphQuality",
     "LabelPropagation",
@@ -43,10 +41,8 @@ __all__ = [
     "build_knn_graph",
     "compare_graphs",
     "edge_weight_agreement",
-    "get_graph_builder",
     "neighbor_recall",
     "propagation_auprc_delta",
     "propagation_feature_spec",
     "propagation_lfs",
-    "register_graph_backend",
 ]

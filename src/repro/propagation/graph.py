@@ -1,20 +1,20 @@
 """Similarity-graph construction over a feature table.
 
 The graph uses the paper's Algorithm-1 weights.  *Which* node pairs are
-considered is delegated to a pluggable :class:`GraphBuilder` backend
-(see :mod:`repro.propagation.builders`):
+considered depends on ``GraphConfig.backend``, one of
+:data:`GRAPH_BACKENDS`:
 
 * ``exact`` — the blockwise O(n²) sweep over every pair (the oracle);
-* ``lsh`` — random-hyperplane / minhash-banding candidate generation;
-* ``nn-descent`` — seeded neighbour-list refinement with local joins.
+* ``lsh`` — random-hyperplane / minhash-banding candidate generation
+  (:mod:`repro.propagation.lsh`).
 
 Edge *weights* are always the exact Algorithm-1 similarity — for each
 pair the per-feature contributions are accumulated feature by feature
 (Jaccard for categorical features, normalized absolute difference for
 numeric features, and shifted cosine for embeddings), and only features
 present on both endpoints contribute (matching
-:func:`algorithm1_similarity`).  Approximate backends therefore change
-only the candidate set, never the weight of a surviving edge.
+:func:`algorithm1_similarity`).  The approximate backend therefore
+changes only the candidate set, never the weight of a surviving edge.
 """
 
 from __future__ import annotations
@@ -31,8 +31,12 @@ from repro.exec import Executor, ExecutorConfig, as_executor
 from repro.features.distance import numeric_ranges
 from repro.features.schema import FeatureKind
 from repro.features.table import MISSING, FeatureTable
+from repro.propagation.lsh import lsh_edges
 
-__all__ = ["GraphConfig", "SimilarityGraph", "build_knn_graph"]
+__all__ = ["GRAPH_BACKENDS", "GraphConfig", "SimilarityGraph", "build_knn_graph"]
+
+#: kNN graph construction backends (``GraphConfig.backend``)
+GRAPH_BACKENDS = ("exact", "lsh")
 
 
 @dataclass(frozen=True)
@@ -43,21 +47,17 @@ class GraphConfig:
     the table).  ``k`` — neighbours kept per node.  ``block_size`` —
     rows per dense block / per candidate shard (memory/speed
     trade-off).  ``min_weight`` — edges below this similarity are
-    dropped.  ``backend`` selects the :class:`GraphBuilder` (``exact``,
-    ``lsh``, ``nn-descent``); ``seed`` feeds the approximate backends'
-    deterministic RNG streams (the exact backend ignores it).
+    dropped.  ``feature_weights`` scale a feature's Algorithm-1
+    contribution (default 1.0); values are stored as Python floats, so
+    a numpy scalar weight builds the same bytes as its float.
+    ``backend`` is one of :data:`GRAPH_BACKENDS`; ``seed`` feeds the
+    lsh backend's deterministic RNG streams (exact ignores it).
 
     LSH parameters: ``lsh_tables`` hash tables per hashing channel,
     each combining ``lsh_bits`` random-hyperplane bits (embedding
     channels) or ``lsh_band_rows`` minhash rows (categorical channels);
     per node at most ``lsh_max_candidates`` bucket-mates are scored and
     buckets larger than ``lsh_bucket_cap`` are subsampled.
-
-    NN-descent parameters: ``nnd_iters`` refinement iterations over
-    random-seeded neighbour lists, joining each node with the
-    neighbours of ``nnd_sample`` sampled (forward + reverse)
-    neighbours; iteration stops early once the fraction of updated
-    lists falls below ``nnd_tol``.
     """
 
     features: tuple[str, ...] | None = None
@@ -73,10 +73,6 @@ class GraphConfig:
     lsh_band_rows: int = 2
     lsh_max_candidates: int = 128
     lsh_bucket_cap: int = 128
-    # --- nn-descent backend --------------------------------------------
-    nnd_iters: int = 8
-    nnd_sample: int = 12
-    nnd_tol: float = 0.002
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -93,17 +89,19 @@ class GraphConfig:
                     f"feature weight for {name!r} must be a positive finite "
                     f"number, got {weight}"
                 )
+        # a numpy scalar weight would promote ``weight * sim`` past
+        # float32 and shift edge bytes, though the configs compare equal
+        object.__setattr__(
+            self,
+            "feature_weights",
+            {name: float(w) for name, w in self.feature_weights.items()},
+        )
         for attr in (
             "lsh_tables", "lsh_bits", "lsh_band_rows",
             "lsh_max_candidates", "lsh_bucket_cap",
-            "nnd_iters", "nnd_sample",
         ):
             if getattr(self, attr) < 1:
                 raise GraphError(f"{attr} must be >= 1, got {getattr(self, attr)}")
-        if self.nnd_tol < 0:
-            raise GraphError(f"nnd_tol must be >= 0, got {self.nnd_tol}")
-        from repro.propagation.builders import GRAPH_BACKENDS
-
         if self.backend not in GRAPH_BACKENDS:
             raise GraphError(
                 f"unknown graph backend {self.backend!r}; "
@@ -230,7 +228,7 @@ class _FeatureChannel:
 
         The sparse analogue of :meth:`accumulate`: instead of a dense
         (block, n) panel, only the given ``(rows[i], cols[i])`` pairs
-        are scored — this is what lets approximate backends score their
+        are scored — this is what lets the lsh backend score its
         candidate pairs with the exact Algorithm-1 similarity.
         """
         present = self.present
@@ -263,21 +261,6 @@ class _FeatureChannel:
             sim = (0.5 * (cosine + 1.0)).astype(np.float32)
         numerator += self.weight * sim * co_present
         denominator += self.weight * co_present
-
-
-def score_pairs(
-    channels: list[_FeatureChannel], rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Exact Algorithm-1 similarity for explicit ``(rows[i], cols[i])``
-    pairs, accumulated over all channels (float32, in [0, 1])."""
-    numerator = np.zeros(len(rows), dtype=np.float32)
-    denominator = np.zeros(len(rows), dtype=np.float32)
-    for channel in channels:
-        channel.accumulate_pairs(rows, cols, numerator, denominator)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denominator > 0, numerator / denominator, 0.0).astype(
-            np.float32
-        )
 
 
 def _build_channels(
@@ -393,6 +376,37 @@ class _GraphBlockTask:
         )
 
 
+def _exact_edges(
+    channels: list[_FeatureChannel],
+    n: int,
+    k: int,
+    config: GraphConfig,
+    bounds: list[tuple[int, int]],
+    executor: Executor,
+    span,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed kNN edges ``(rows, cols, weights)`` from the blockwise
+    sweep over every pair — the recall oracle for the lsh backend."""
+    task = _GraphBlockTask(channels, n, k, config.min_weight)
+    rows_out: list[np.ndarray] = []
+    cols_out: list[np.ndarray] = []
+    weights_out: list[np.ndarray] = []
+    with obs.span("graph.score"):
+        for block_rows, block_cols, block_weights, n_below in (
+            executor.imap_ordered(task, bounds)
+        ):
+            span.add_counter("blocks", 1)
+            span.add_counter("edges_below_min_weight", n_below)
+            rows_out.append(block_rows)
+            cols_out.append(block_cols)
+            weights_out.append(block_weights)
+    return (
+        np.concatenate(rows_out),
+        np.concatenate(cols_out),
+        np.concatenate(weights_out),
+    )
+
+
 def _shard_bounds(n: int, block_size: int) -> list[tuple[int, int]]:
     """Contiguous node shards; fixed by (n, block_size) so shard RNG
     streams are identical regardless of the executor backend.  Same
@@ -447,26 +461,22 @@ def build_knn_graph(
     similarity); the union of directed kNN edges is symmetrized by
     taking the maximum weight per pair.
 
-    ``config.backend`` selects the :class:`GraphBuilder`: ``exact``
-    considers every pair (O(n²), the oracle); ``lsh`` and
-    ``nn-descent`` consider a sub-quadratic candidate set but score
-    candidates with the same exact similarity.  Approximate backends
-    are deterministic for a fixed ``config.seed``.
+    ``config.backend`` picks the candidate pairs: ``exact`` considers
+    every pair (O(n²), the oracle); ``lsh`` considers a sub-quadratic
+    candidate set but scores it with the same exact similarity, and is
+    deterministic for a fixed ``config.seed``.
 
     ``executor`` parallelizes the candidate/similarity pass; every
-    shard is an independent pure task with its own derived RNG stream
-    and shards merge in shard order, so each backend's graph is
-    byte-identical on the serial, thread, and process executors.
+    shard is an independent pure task and shards merge in shard order,
+    so each backend's graph is byte-identical on the serial, thread,
+    and process executors.
     """
-    from repro.propagation.builders import get_graph_builder
-
     config = config or GraphConfig()
     n = table.n_rows
     if n < 2:
         raise GraphError(f"need at least 2 nodes to build a graph, got {n}")
     _validate_graph_features(table, config)
     k = min(config.k, n - 1)
-    builder = get_graph_builder(config.backend)
     ex = as_executor(executor)
     with obs.span(
         "graph.build_knn",
@@ -480,6 +490,11 @@ def build_knn_graph(
         if not channels:
             raise GraphError("no features available for graph construction")
         sp.set_gauge("n_features", len(channels))
-        graph = builder.build(channels, n, k, config, ex, sp)
+        edges = _exact_edges if config.backend == "exact" else lsh_edges
+        rows, cols, weights = edges(
+            channels, n, k, config, _shard_bounds(n, config.block_size), ex, sp
+        )
+        with obs.span("graph.symmetrize"):
+            graph = _edges_to_graph(rows, cols, weights, n)
         sp.set_gauge("n_edges", graph.n_edges())
     return graph

@@ -65,7 +65,12 @@ def _ref_or_none(data: dict | None) -> ArtifactRef | None:
 
 
 class ShardedTable:
-    """Read handle over one sharded feature table."""
+    """Read handle over one sharded feature table.
+
+    ``payloads`` — every shard's ``(rows doc, dense bytes or None)``,
+    already read (a checkpoint replay holds them) — seeds the payloads
+    :meth:`read_payloads` keeps for :meth:`to_table`.
+    """
 
     def __init__(
         self,
@@ -73,6 +78,7 @@ class ShardedTable:
         manifest: dict,
         manifest_ref: ArtifactRef | None = None,
         reader: Any | None = None,
+        payloads: list[tuple[Any, bytes | None]] | None = None,
     ) -> None:
         version = manifest.get("format_version")
         if version != _MANIFEST_FORMAT_VERSION:
@@ -91,6 +97,7 @@ class ShardedTable:
         self.shard_size = int(manifest["shard_size"])
         self.labeled = bool(manifest["labeled"])
         self._shards = list(manifest["shards"])
+        self._payloads = payloads
 
     # ------------------------------------------------------------------
     # structure
@@ -121,14 +128,28 @@ class ShardedTable:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def shard(self, index: int) -> FeatureTable:
-        """Materialize one shard as a row-aligned :class:`FeatureTable`."""
+    def _read_shard(self, index: int) -> tuple[Any, bytes | None]:
+        if self._payloads is not None:
+            return self._payloads[index]
         rows_ref, dense_ref = self.shard_refs(index)
         rows_doc = self.reader.read_json(rows_ref)
         dense = (
             self.reader.read_bytes(dense_ref) if dense_ref is not None else None
         )
-        return decode_table_shard(self.schema, rows_doc, dense)
+        return rows_doc, dense
+
+    def read_payloads(self) -> list[tuple[Any, bytes | None]]:
+        """Every shard's ``(rows doc, dense bytes or None)``, in shard
+        order.  They are read once and kept until :meth:`to_table`
+        consumes them, so a checkpoint that encodes them and then
+        materializes the table reads each shard artifact once."""
+        if self._payloads is None:
+            self._payloads = [self._read_shard(i) for i in range(self.n_shards)]
+        return self._payloads
+
+    def shard(self, index: int) -> FeatureTable:
+        """Materialize one shard as a row-aligned :class:`FeatureTable`."""
+        return decode_table_shard(self.schema, *self._read_shard(index))
 
     def iter_shards(self) -> Iterator[FeatureTable]:
         for index in range(self.n_shards):
@@ -153,7 +174,9 @@ class ShardedTable:
 
     def to_table(self) -> FeatureTable:
         """Materialize the full table (O(corpus) memory — for callers
-        that genuinely need everything, e.g. graph curation)."""
+        that genuinely need everything, e.g. graph curation).  Payloads
+        kept by :meth:`read_payloads` are decoded, not re-read, and
+        released."""
         columns: dict[str, list] = {name: [] for name in self.schema.names}
         point_ids: list[int] = []
         modalities: list = []
@@ -166,6 +189,7 @@ class ShardedTable:
             if self.labeled:
                 assert shard.labels is not None
                 labels.extend(shard.labels.tolist())
+        self._payloads = None
         import numpy as np
 
         return FeatureTable(

@@ -243,6 +243,29 @@ def _shardscale_result(fail):
     )
 
 
+def _scaling_result(fail):
+    from repro.experiments.scaling import ScalingCell, ScalingResult
+
+    def cell(backend, divergence=0.0, recall=1.0, delta=0.0):
+        return ScalingCell(
+            size=300, backend=backend, build_seconds=0.01, stage_seconds={},
+            n_edges=100, neighbor_recall=recall, edge_recall=recall,
+            max_weight_divergence=divergence, auprc=0.5,
+            auprc_oracle=0.5 - delta, auprc_delta=delta, speedup_vs_exact=1.0,
+        )
+
+    lsh = cell(
+        "lsh",
+        divergence=1e-3 if fail == "exact_scoring" else 0.0,
+        recall=0.5 if fail == "recall" else 0.99,
+        delta=-0.1 if fail == "downstream" else 0.001,
+    )
+    return ScalingResult(
+        cells=[cell("exact"), lsh], sizes=(300,), backends=("exact", "lsh"),
+        seed=1, k=10,
+    )
+
+
 def _scrub_result(fail):
     from repro.runs.scrub import ScrubEntry, ScrubReport
 
@@ -263,6 +286,8 @@ _GATED = {
     "storagechaos": ("run_storagechaos", _storagechaos_result, ["holds"]),
     "shardscale": ("run_shardscale", _shardscale_result, ["sublinear"]),
     "scrub": ("run_scrub", _scrub_result, ["store_healthy"]),
+    "scaling": ("run_scaling", _scaling_result,
+                ["exact_scoring", "recall", "downstream"]),
 }
 
 
@@ -352,6 +377,29 @@ def test_shardscale_without_a_size_ratio_fails(tmp_path, capsys):
     assert "gate=sublinear [FAIL]\n" in out
     data = json.loads((tmp_path / "BENCH_shardscale.json").read_text())
     assert data["metrics"]["sublinear"] is False
+
+
+def test_scaling_without_an_lsh_cell_fails(tmp_path, capsys):
+    """An exact-only sweep compares nothing against the oracle, so the
+    quality gates are unjudged and fail."""
+    code = main([
+        "scaling", "--sizes", "60", "--graph-backend", "exact",
+        "--run-dir", str(tmp_path),
+    ])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "no lsh cell measured" in out
+    assert "gate=recall [FAIL]\n" in out
+
+
+def test_scaling_smoke_sweep_passes_its_gates(tmp_path, capsys):
+    """CI's smallest sweep size.  Far smaller corpora (n=120: 20 seed
+    labels) swing the AUPRC delta past its bound on one changed edge."""
+    code = main(["scaling", "--sizes", "300", "--run-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    for gate in ("exact_scoring", "recall", "downstream"):
+        assert f"gate={gate} [OK]\n" in out
 
 
 _MT_ARGS = [

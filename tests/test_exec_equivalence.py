@@ -192,7 +192,7 @@ def test_run_map_with_failures_differential(backend, workers):
 # ----------------------------------------------------------------------
 # graph construction
 # ----------------------------------------------------------------------
-GRAPH_BACKENDS_UNDER_TEST = ("exact", "lsh", "nn-descent")
+GRAPH_BACKENDS_UNDER_TEST = ("exact", "lsh")
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ def graph_inputs(tiny_splits, tiny_catalog):
 def test_graph_build_differential(
     backend, workers, graph_backend, graph_inputs, store
 ):
-    """Every graph backend — exact and approximate alike — produces a
+    """Both graph backends — exact and approximate alike — produce a
     byte-identical adjacency on every executor: candidate generation
     uses per-shard RNG streams and ordered merges, so parallelism never
     changes which pairs are considered."""

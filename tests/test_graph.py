@@ -140,9 +140,9 @@ def test_too_few_nodes_rejected():
         {"lsh_band_rows": 0},
         {"lsh_max_candidates": 0},
         {"lsh_bucket_cap": 0},
-        {"nnd_iters": 0},
-        {"nnd_sample": 0},
-        {"nnd_tol": -0.5},
+        {"backend": "Exact"},
+        {"feature_weights": {"emb": float("inf")}},
+        {"lsh_tables": -4},
     ],
 )
 def test_bad_config_rejected_at_construction(kwargs):

@@ -1,11 +1,15 @@
 """Tests for repro.runs.scrub — store auditing and repair round-trips."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.config import CurationConfig, PipelineConfig
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, RepairError
 from repro.core.pipeline import CrossModalPipeline
-from repro.runs import RepairEngine, RunCheckpointer, scrub_run
+from repro.experiments.scrub import rebuild_end_to_end, run_scrub
+from repro.runs import RepairEngine, RunCheckpointer, RunManifest, scrub_run
 from repro.shards.table import MANIFEST_KIND, ShardedTable
 
 
@@ -109,6 +113,34 @@ def test_scrub_repair_reports_unrepairable_damage(tmp_path):
     assert entry.status == "unrepaired"
     assert "refusing to substitute different bytes" in entry.detail
     assert "UNREPAIRED" in report.verdict()
+
+
+def test_scrub_repair_of_unrecognized_recorded_config_fails_typed(tmp_path):
+    """A run recorded with a config value this build rejects (here a
+    graph backend it does not offer) cannot be replayed: rebuilding it
+    raises :class:`RepairError`, so ``scrub --repair`` reports the
+    damaged artifact unrepaired instead of crashing."""
+    ck = RunCheckpointer(
+        tmp_path,
+        context={"experiment": "end_to_end", "task": "CT1", "scale": 0.05, "seed": 7},
+    )
+    curate = ck.stage(
+        "curate", config={"curation": asdict(CurationConfig())}, **_stage_args(41)
+    )
+    manifest_path = tmp_path / RunManifest.FILENAME
+    doc = json.loads(manifest_path.read_text())
+    doc["stages"]["curate"]["config"]["curation"]["graph_backend"] = "annoy"
+    manifest_path.write_text(json.dumps(doc))
+
+    with pytest.raises(RepairError, match="annoy"):
+        rebuild_end_to_end(RunManifest.load(tmp_path))
+
+    _path_of(ck, curate).unlink()
+    report = run_scrub(tmp_path, repair=True, out_dir=str(tmp_path))
+    assert not report.healthy
+    entry = next(e for e in report.entries if e.stage == "curate")
+    assert entry.status == "unrepaired"
+    assert "annoy" in entry.detail
 
 
 # ----------------------------------------------------------------------

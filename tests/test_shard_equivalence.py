@@ -23,6 +23,7 @@ here are sum/count jobs.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -449,3 +450,35 @@ def test_pipeline_sharded_crash_mid_featurize_resumes_bit_identical(
     )
     assert resumed.metrics == baseline.metrics
     assert np.array_equal(resumed.test_scores, baseline.test_scores)
+
+
+def test_pipeline_sharded_run_reads_each_shard_once(
+    tiny_world, tiny_task, tiny_catalog, tiny_splits, tmp_path, monkeypatch
+):
+    """The featurize checkpoint encodes every shard payload and the
+    pipeline then materializes the tables from them: computing the run
+    and replaying it each read every shard artifact exactly once."""
+    reads: Counter = Counter()
+    get_bytes = RunStore.get_bytes
+
+    def counting_get_bytes(self, ref):
+        reads[ref.hash] += 1
+        return get_bytes(self, ref)
+
+    monkeypatch.setattr(RunStore, "get_bytes", counting_get_bytes)
+    run_dir = tmp_path / "run"
+    for resume in (False, True):
+        reads.clear()
+        _pipeline(tiny_world, tiny_task, tiny_catalog, shard_size=97).run(
+            tiny_splits,
+            checkpoint=RunCheckpointer(
+                run_dir, context={"task": "CT1"}, resume=resume
+            ),
+        )
+        shard_hashes = {
+            digest
+            for key, digest in _stage_hashes(run_dir, "featurize").items()
+            if "/shard" in key
+        }
+        assert shard_hashes
+        assert {h: reads[h] for h in shard_hashes} == dict.fromkeys(shard_hashes, 1)
