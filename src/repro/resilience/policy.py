@@ -8,11 +8,12 @@ circuit breaker, and a fallback chain, while recording per-service
 for every call that needed more than one clean dial.
 
 Determinism: backoff jitter draws from a stream derived per
-(service, point), and fault schedules live in the wrapped
-:class:`~repro.resilience.faults.ServiceClient`, so a retry+fallback
-policy produces bit-identical results for any thread count.  The
-circuit breaker is the one knowingly order-dependent component (its
-state is shared across points) and is therefore off by default.
+(service, point) at the call's first retry, and fault schedules live
+in the wrapped :class:`~repro.resilience.faults.ServiceClient`, so a
+retry+fallback policy produces bit-identical results for any thread
+count.  The circuit breaker is the one knowingly order-dependent
+component (its state is shared across points) and is therefore off by
+default.
 """
 
 from __future__ import annotations
@@ -336,7 +337,10 @@ class ResiliencePolicy:
                 name, point, seed, health, retries=0, error="circuit open"
             )
 
-        backoff_rng = spawn(self.seed, f"backoff/{name}/{point.point_id}")
+        # derived at the first retry: a clean first dial never draws
+        # jitter, and a retried call consumes the stream in the same
+        # order whenever it is derived
+        backoff_rng: np.random.Generator | None = None
         deadline = (
             Deadline(self.deadline_budget)
             if self.deadline_budget is not None
@@ -363,6 +367,10 @@ class ResiliencePolicy:
                 if self.governor is not None:
                     self.governor.on_failure(name)
                 if attempt + 1 < self.retry.max_attempts:
+                    if backoff_rng is None:
+                        backoff_rng = spawn(
+                            self.seed, f"backoff/{name}/{point.point_id}"
+                        )
                     step = backoff_delay(self.retry, attempt + 1, backoff_rng)
                     if deadline is not None:
                         capped = deadline.cap(step)

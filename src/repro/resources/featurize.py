@@ -7,6 +7,12 @@ output is deterministic and independent of partitioning or thread
 scheduling, and featurizing the same corpus with a *subset* of resources
 yields values identical to selecting columns from the full run.
 
+The streams are keyed by ``feat/{point}/{resource}`` and are exactly the
+ones :func:`~repro.core.rng.spawn` returns for those tags, but
+:func:`featurize_corpus` *derives* them for the whole corpus in one
+vectorized pass (:func:`~repro.core.rng.spawn_states`) before mapping,
+and each point's task loads its rows into one reusable generator.
+
 When a :class:`~repro.resilience.policy.ResiliencePolicy` is supplied,
 every (point, resource) call is guarded: transient service faults are
 retried with backoff, exhausted calls degrade through the policy's
@@ -20,14 +26,16 @@ resilient run with the same seed is bit-identical across thread counts.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 import repro.obs as obs
-from repro.core.rng import spawn
+from repro.core.rng import reseed, spawn_states
 from repro.dataflow.mapreduce import run_map
 from repro.exec import Executor, ExecutorConfig
 from repro.datagen.corpus import Corpus
-from repro.datagen.entities import DataPoint
+from repro.datagen.entities import DataPoint, Modality
 from repro.features.schema import FeatureSchema
 from repro.features.table import MISSING, FeatureTable
 from repro.resilience.policy import (
@@ -40,6 +48,37 @@ from repro.resources.base import OrganizationalResource
 __all__ = ["featurize_corpus", "featurize_point"]
 
 
+def _point_records(
+    seed: int,
+    points: Sequence[DataPoint],
+    resources: Sequence[OrganizationalResource],
+) -> list[tuple[DataPoint, np.ndarray]]:
+    """Pair every point with its stream rows: one :func:`spawn_states`
+    row per supporting resource, in resource order.  The whole list's
+    rows come from one derivation pass and are slices of one array."""
+    supported: dict[Modality, list[str]] = {}
+    for point in points:
+        if point.modality not in supported:
+            supported[point.modality] = [
+                r.name for r in resources if r.supports(point.modality)
+            ]
+    states = spawn_states(
+        seed,
+        (
+            f"feat/{point.point_id}/{name}"
+            for point in points
+            for name in supported[point.modality]
+        ),
+    )
+    records = []
+    start = 0
+    for point in points:
+        stop = start + len(supported[point.modality])
+        records.append((point, states[start:stop]))
+        start = stop
+    return records
+
+
 def featurize_point(
     point: DataPoint,
     resources: Iterable[OrganizationalResource],
@@ -47,37 +86,48 @@ def featurize_point(
     policy: ResiliencePolicy | None = None,
     events: list[DegradationEvent] | None = None,
     latencies: list[tuple[str, float]] | None = None,
+    states: np.ndarray | None = None,
 ) -> dict[str, object]:
     """Apply every supporting resource to one point.
 
     Each (point, resource) pair draws from its own derived RNG stream,
-    so values do not depend on which other resources run.  With a
+    so values do not depend on which other resources run.  ``states``
+    holds the point's stream rows (one per supporting resource, in
+    order); :func:`featurize_corpus` passes each point its slice of the
+    corpus's rows, and without it the point derives its own.  With a
     ``policy``, service faults degrade to :data:`MISSING` under the
     policy's retry/fallback rules and per-cell
     :class:`DegradationEvent`\\ s are appended to ``events`` (when
     provided).  ``latencies`` (only passed by traced runs) collects one
     ``(service, seconds)`` sample per applied resource.
     """
+    resources = list(resources)
+    if states is None:
+        [(_, states)] = _point_records(seed, [point], resources)
+    cell_states = iter(states.tolist())
+    # one generator per point, reloaded for every cell (and, under a
+    # policy, for every attempt)
+    rng = np.random.default_rng(0)
     row: dict[str, object] = {}
     for resource in resources:
         if not resource.supports(point.modality):
             row[resource.name] = MISSING
             continue
-        tag = f"feat/{point.point_id}/{resource.name}"
+        state = next(cell_states)
         if latencies is None:
             if policy is None:
-                row[resource.name] = resource.apply(point, spawn(seed, tag))
+                row[resource.name] = resource.apply(point, reseed(rng, state))
                 continue
             value, event = policy.call(
-                resource, point, rng_factory=lambda: spawn(seed, tag), seed=seed
+                resource, point, rng_factory=lambda: reseed(rng, state), seed=seed
             )
         else:
             t0 = time.perf_counter()
             if policy is None:
-                value, event = resource.apply(point, spawn(seed, tag)), None
+                value, event = resource.apply(point, reseed(rng, state)), None
             else:
                 value, event = policy.call(
-                    resource, point, rng_factory=lambda: spawn(seed, tag), seed=seed
+                    resource, point, rng_factory=lambda: reseed(rng, state), seed=seed
                 )
             latencies.append((resource.name, time.perf_counter() - t0))
         row[resource.name] = value
@@ -91,7 +141,9 @@ class _PlainFeaturizeTask:
 
     A module-level task object — not a closure — so the process backend
     can ship it to workers; its state is the resource list and the
-    featurization seed, which is all the determinism contract needs.
+    featurization seed, and each record is a ``(point, states)`` pair
+    carrying the point's stream rows, which is all the determinism
+    contract needs.
     """
 
     __slots__ = ("resources", "seed")
@@ -102,8 +154,9 @@ class _PlainFeaturizeTask:
         self.resources = resources
         self.seed = seed
 
-    def __call__(self, point: DataPoint) -> dict[str, object]:
-        return featurize_point(point, self.resources, seed=self.seed)
+    def __call__(self, record: tuple[DataPoint, np.ndarray]) -> dict[str, object]:
+        point, states = record
+        return featurize_point(point, self.resources, seed=self.seed, states=states)
 
 
 class _RichFeaturizeTask:
@@ -114,8 +167,8 @@ class _RichFeaturizeTask:
     report / trace on the coordinator, so process workers — which carry
     neither the tracer nor the shared policy object — lose no
     accounting.  Per-worker policy state (breakers, health) is a copy;
-    feature values stay bit-identical because every attempt re-derives
-    its value RNG from the recorded seeds.
+    feature values stay bit-identical because every attempt reloads its
+    value RNG from the point's stream rows.
     """
 
     __slots__ = ("resources", "seed", "policy", "collect_latencies")
@@ -133,8 +186,9 @@ class _RichFeaturizeTask:
         self.collect_latencies = collect_latencies
 
     def __call__(
-        self, point: DataPoint
+        self, record: tuple[DataPoint, np.ndarray]
     ) -> tuple[dict[str, object], list, list]:
+        point, states = record
         local_events: list[DegradationEvent] = []
         local_latencies: list[tuple[str, float]] = []
         row = featurize_point(
@@ -144,6 +198,7 @@ class _RichFeaturizeTask:
             policy=self.policy,
             events=local_events,
             latencies=local_latencies if self.collect_latencies else None,
+            states=states,
         )
         return row, local_events, local_latencies
 
@@ -168,8 +223,9 @@ def featurize_corpus(
 
     ``executor`` selects the execution backend (serial, thread, or
     process); every point's value derives from its own
-    ``(seed, point, resource)`` RNG stream and rows merge in input
-    order, so all backends produce the byte-identical table.
+    ``(seed, point, resource)`` RNG stream — derived here for the whole
+    corpus, before mapping — and rows merge in input order, so all
+    backends produce the byte-identical table.
     """
     schema = FeatureSchema(r.spec for r in resources)
     traced = obs.enabled()
@@ -180,16 +236,20 @@ def featurize_corpus(
         n_points=len(corpus.points),
         n_resources=len(resources),
     ) as sp:
+        # every supported cell's stream, derived in one pass; each
+        # point's record carries its rows, so all backends load the
+        # same streams
+        records = _point_records(seed, corpus.points, resources)
         if policy is None and not traced:
             rows = run_map(
-                corpus.points,
+                records,
                 _PlainFeaturizeTask(resources, seed),
                 executor=executor,
             )
             report = None
         else:
             mapped = run_map(
-                corpus.points,
+                records,
                 _RichFeaturizeTask(resources, seed, policy, collect_latencies=traced),
                 executor=executor,
             )

@@ -658,6 +658,96 @@ class TestDeadlineRetry:
 
 
 # ----------------------------------------------------------------------
+# lazy backoff stream
+# ----------------------------------------------------------------------
+class TestLazyBackoff:
+    """``policy.call`` derives its ``backoff/{service}/{point}`` stream at
+    the first retry, not on every call.  The stream is consumed in the
+    same order, so simulated delays are unchanged; the pinned values
+    below were recorded with the stream derived eagerly on every call."""
+
+    @staticmethod
+    def _count_backoff_spawns(monkeypatch):
+        import repro.resilience.policy as policy_module
+
+        tags: list[str] = []
+
+        def counting(seed, tag):
+            tags.append(tag)
+            return spawn(seed, tag)
+
+        monkeypatch.setattr(policy_module, "spawn", counting)
+        return tags
+
+    @staticmethod
+    def _run(suite, small_corpus, budget):
+        client = FaultInjector(FaultSpec(transient_rate=0.5), seed=4).wrap(suite[1])
+        policy = ResiliencePolicy(
+            retry=RetryConfig(max_attempts=4, jitter=0.3),
+            seed=13,
+            deadline_budget=budget,
+        )
+        events = []
+        for point in small_corpus.points:
+            _, event = policy.call(
+                client,
+                point,
+                rng_factory=lambda: spawn(5, f"feat/{point.point_id}/{client.name}"),
+                seed=5,
+            )
+            if event is not None:
+                events.append((event.point_id, event.outcome, event.retries))
+        health = policy.health_report().services[client.name]
+        return health, events
+
+    def test_fault_free_call_derives_no_backoff_stream(
+        self, suite, small_corpus, monkeypatch
+    ):
+        tags = self._count_backoff_spawns(monkeypatch)
+        policy = ResiliencePolicy(retry=RetryConfig(jitter=0.5), seed=1)
+        for point in small_corpus.points[:5]:
+            _, event = policy.call(
+                suite[0], point, rng_factory=lambda: spawn(0, "v"), seed=0
+            )
+            assert event is None
+        assert tags == []
+
+    def test_retried_calls_match_pinned_delays(
+        self, suite, small_corpus, monkeypatch
+    ):
+        tags = self._count_backoff_spawns(monkeypatch)
+        health, events = self._run(suite, small_corpus, budget=None)
+        assert health.simulated_delay == 2.3142951433217314
+        assert (health.attempts, health.retries) == (57, 27)
+        assert health.deadline_exceeded == 0
+        assert events == [
+            (1512, "recovered", 1), (1513, "missing", 3),
+            (1514, "recovered", 1), (1515, "recovered", 1),
+            (1521, "recovered", 3), (1522, "missing", 3),
+            (1523, "recovered", 1), (1526, "recovered", 1),
+            (1529, "recovered", 1), (1530, "recovered", 1),
+            (1534, "recovered", 3), (1536, "recovered", 3),
+            (1538, "recovered", 2), (1539, "recovered", 2),
+            (1541, "recovered", 1),
+        ]
+        # one stream per call that retried, none for the clean dials
+        assert sorted(tags) == sorted(
+            f"backoff/{suite[1].name}/{pid}" for pid, _, _ in events
+        )
+
+    def test_deadline_capped_retries_match_pinned_delays(
+        self, suite, small_corpus
+    ):
+        health, events = self._run(suite, small_corpus, budget=0.12)
+        assert health.simulated_delay == 1.2111738154945373
+        assert (health.attempts, health.retries) == (45, 15)
+        assert health.deadline_exceeded == 7
+        missing = [pid for pid, outcome, _ in events if outcome == "missing"]
+        assert missing == [1513, 1521, 1522, 1534, 1536, 1538, 1539]
+        assert all(retries == 1 for _, _, retries in events)
+
+
+# ----------------------------------------------------------------------
 # concurrent sharing (the multi-tenant contract)
 # ----------------------------------------------------------------------
 class TestConcurrentSharing:
