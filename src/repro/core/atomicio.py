@@ -32,7 +32,6 @@ from typing import Protocol
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
-    "atomic_write_text",
     "fsync_dir",
     "sha256_hex",
     "canonical_json",
@@ -143,11 +142,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
         return path
     fsync_dir(path.parent)
     return path
-
-
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Atomic UTF-8 text write; see :func:`atomic_write_bytes`."""
-    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: str | Path, obj: object, indent: int | None = None) -> Path:

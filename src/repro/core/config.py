@@ -91,9 +91,6 @@ class TrainingConfig:
     l2: float = 1e-5
     batch_size: int = 256
     max_vocab: int = 512
-    #: run Vizier-like random search instead of the fixed params
-    tune: bool = False
-    n_tuning_trials: int = 8
 
     def __post_init__(self) -> None:
         if self.fusion not in _FUSIONS:

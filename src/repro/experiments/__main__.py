@@ -359,7 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--run-dir", metavar="DIR", default=None,
                         help="end_to_end: checkpoint every completed stage "
                              "into DIR (artifacts + manifest); "
-                             "crash: keep the harness run dirs in DIR")
+                             "crash: keep the harness run dirs in DIR; "
+                             "experiments that write BENCH_<name>.json "
+                             "write it here unless REPRO_BENCH_DIR is set")
     parser.add_argument("--resume", action="store_true",
                         help="resume an interrupted checkpointed run from "
                              "--run-dir, replaying completed stages")

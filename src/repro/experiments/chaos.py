@@ -39,6 +39,7 @@ from repro.core.rng import derive_seed
 from repro.runs.crash import CRASH_AT_ENV, CRASH_EXIT_CODE
 from repro.experiments.common import ExperimentContext
 from repro.experiments.reporting import no_cliff, render_bars, render_table
+from repro.obs.bench import BenchArtifact, bench_dir
 from repro.resilience import (
     FallbackChain,
     FaultInjector,
@@ -145,8 +146,8 @@ def run_chaos(
 
     Writes ``BENCH_chaos.json`` — per-level quality plus the resilience
     control-plane counters (retries, fallbacks, breaker trips, short
-    circuits, deadline exhaustions) — when ``out_dir`` is given or the
-    ``REPRO_BENCH_DIR`` env var is set.
+    circuits, deadline exhaustions) — into ``$REPRO_BENCH_DIR``, else
+    ``out_dir``, else nowhere (:func:`repro.obs.bench.bench_dir`).
     """
     if ctx is None:
         ctx = ExperimentContext(task_name="CT1", scale=scale, seed=seed)
@@ -224,10 +225,8 @@ def run_chaos(
         short_circuits=short_circuits,
         deadline_exceeded=deadline_exceeded,
     )
-    directory = out_dir or os.environ.get("REPRO_BENCH_DIR")
+    directory = bench_dir(out_dir)
     if directory:
-        from repro.obs.bench import BenchArtifact
-
         artifact = BenchArtifact("chaos", scale=ctx.scale, seed=seed)
         artifact.record(
             availabilities=result.availabilities,

@@ -29,6 +29,7 @@ from repro.datagen.entities import Modality
 from repro.datagen.tasks import list_tasks
 from repro.exec import ExecutorConfig
 from repro.experiments.reporting import render_table
+from repro.obs.bench import BenchArtifact, bench_dir
 
 __all__ = [
     "TaskEndToEnd",
@@ -289,7 +290,6 @@ def run_end_to_end(
     bit-identical to an unsharded run.  Requires ``run_dir`` — the
     shards live in the run's artifact store.
     """
-    import os
     from pathlib import Path
 
     from repro.core.atomicio import atomic_write_json
@@ -348,10 +348,8 @@ def run_end_to_end(
             },
             indent=2,
         )
-    bench_dir = os.environ.get("REPRO_BENCH_DIR") or run_dir
-    if bench_dir:
-        from repro.obs.bench import BenchArtifact
-
+    directory = bench_dir(run_dir)
+    if directory:
         # degradation counters come from the featurized tables when a
         # resilience policy was in play; a plain run reports zeros —
         # the schema stays stable either way
@@ -382,7 +380,7 @@ def run_end_to_end(
             dedup_hits=0,
             **counters,
         )
-        artifact.write(bench_dir)
+        artifact.write(directory)
     return run
 
 

@@ -33,7 +33,6 @@ but not gated.
 
 from __future__ import annotations
 
-import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +42,7 @@ import numpy as np
 from repro.core.rng import derive_seed
 from repro.experiments.common import ExperimentContext
 from repro.experiments.reporting import no_cliff, render_table
-from repro.obs.bench import BenchArtifact
+from repro.obs.bench import BenchArtifact, bench_dir
 from repro.resilience.circuit import CircuitConfig
 from repro.scheduler import (
     FairQueueConfig,
@@ -273,8 +272,8 @@ def run_multitenant(
     governor, no fair queue, fresh store — and compared fingerprint-
     for-fingerprint against its contended result.
 
-    Writes ``BENCH_multitenant.json`` into ``out_dir`` (default: the
-    ``REPRO_BENCH_DIR`` env var, then the working directory).
+    Writes ``BENCH_multitenant.json`` into ``$REPRO_BENCH_DIR``, else
+    ``out_dir``, else nowhere (:func:`repro.obs.bench.bench_dir`).
     """
     if ctx is None:
         ctx = ExperimentContext(task_name="CT1", scale=scale, seed=seed)
@@ -375,7 +374,8 @@ def run_multitenant(
         solo_identical=solo_identical,
         ok=all(gates.values()),
     )
-    directory = out_dir or os.environ.get("REPRO_BENCH_DIR", ".")
-    path = artifact.write(directory)
-    print(f"[bench artifact written to {Path(path)}]")
+    directory = bench_dir(out_dir)
+    if directory:
+        path = artifact.write(directory)
+        print(f"[bench artifact written to {Path(path)}]")
     return result

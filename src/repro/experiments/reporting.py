@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-__all__ = ["render_table", "format_value", "render_series", "no_cliff"]
+__all__ = ["render_table", "format_value", "no_cliff"]
 
 #: the largest share of the preceding level's value one step down may
 #: lose before the step counts as a cliff
@@ -63,13 +63,6 @@ def render_table(
     for row in formatted:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(
-    xs: Sequence[object], ys: Sequence[float], x_name: str, y_name: str
-) -> str:
-    """Render an (x, y) series as a two-column table (figure data)."""
-    return render_table([x_name, y_name], list(zip(xs, ys)))
 
 
 def render_bars(

@@ -39,7 +39,7 @@ from repro.datagen.entities import Modality
 from repro.experiments.reporting import render_table
 from repro.features.schema import FeatureKind, FeatureSchema, FeatureSpec
 from repro.features.table import FeatureTable
-from repro.obs.bench import BenchArtifact
+from repro.obs.bench import BenchArtifact, bench_dir
 from repro.propagation.graph import GraphConfig, SimilarityGraph, build_knn_graph
 from repro.propagation.propagate import LabelPropagation
 from repro.propagation.recall import compare_graphs, propagation_auprc_delta
@@ -262,11 +262,10 @@ def run_scaling(
     ``exact`` is always measured (it is the oracle for recall and the
     speedup denominator) even when not listed in ``backends``.
     ``config_overrides`` pass through to every :class:`GraphConfig`
-    (e.g. ``lsh_tables=16``); ``out_dir=None`` resolves to the
-    ``REPRO_BENCH_DIR`` env var and then the working directory.
+    (e.g. ``lsh_tables=16``).  The artifact goes to
+    ``$REPRO_BENCH_DIR``, else ``out_dir``, else nowhere
+    (:func:`repro.obs.bench.bench_dir`).
     """
-    import os
-
     sizes = tuple(sizes) if sizes else DEFAULT_SIZES
     backends = tuple(backends) if backends else DEFAULT_BACKENDS
     cells: list[ScalingCell] = []
@@ -340,8 +339,8 @@ def run_scaling(
             })
     artifact.record(sizes=list(sizes), backends=list(backends), k=k)
 
-    directory = out_dir or os.environ.get("REPRO_BENCH_DIR", ".")
-    path = artifact.write(directory)
+    directory = bench_dir(out_dir)
+    path = artifact.write(directory) if directory else None
     return ScalingResult(
         cells=cells,
         sizes=sizes,

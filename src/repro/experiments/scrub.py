@@ -15,7 +15,6 @@ so store health is diffable across CI runs like every other benchmark.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import repro.obs as obs
 from repro.core.config import CurationConfig, PipelineConfig, TrainingConfig
 from repro.core.exceptions import ConfigurationError, RepairError
 from repro.experiments.end_to_end import build_pipeline_for_run
-from repro.obs.bench import BenchArtifact
+from repro.obs.bench import BenchArtifact, bench_dir
 from repro.runs import RepairEngine, RunManifest, RunStore, ScrubReport, scrub_run
 
 __all__ = ["rebuild_end_to_end", "make_repair_engine", "run_scrub"]
@@ -124,7 +123,8 @@ def run_scrub(
     """Audit every artifact the run references; optionally repair.
 
     Writes ``BENCH_scrub.json`` (audit counts, wall time) into
-    ``out_dir`` / ``$REPRO_BENCH_DIR`` / the run directory.
+    ``$REPRO_BENCH_DIR``, else ``out_dir``, else the run directory
+    (:func:`repro.obs.bench.bench_dir`).
     """
     run_dir = Path(run_dir)
     t0 = time.perf_counter()
@@ -148,6 +148,5 @@ def run_scrub(
         store_healthy=report.gates()["store_healthy"],
         **{f"n_{status}": count for status, count in report.counts.items()},
     )
-    bench_dir = out_dir or os.environ.get("REPRO_BENCH_DIR") or str(run_dir)
-    artifact.write(bench_dir)
+    artifact.write(bench_dir(out_dir or run_dir))
     return report

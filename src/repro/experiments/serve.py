@@ -31,7 +31,6 @@ every availability).
 
 from __future__ import annotations
 
-import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +38,7 @@ from pathlib import Path
 from repro.core.rng import derive_seed
 from repro.datagen.entities import DataPoint
 from repro.experiments.reporting import no_cliff, render_table
+from repro.obs.bench import BenchArtifact, bench_dir
 from repro.resilience import FaultInjector, FaultSpec
 from repro.runs.manifest import RunManifest
 from repro.serving import (
@@ -177,14 +177,15 @@ def run_serve(
     n_requests: int = 200,
     max_points: int = 120,
     run_dir: str | None = None,
-    out_dir: str | None = None,
 ) -> ServeResult:
     """Deploy a completed run behind a server; measure identity + load.
 
     ``run_dir`` reuses an existing checkpointed end-to-end run when its
     manifest is already complete (the batch stages are by far the
     expensive part); otherwise the run is computed there first.  With
-    no ``run_dir`` a temporary directory is used.
+    no ``run_dir`` a temporary directory is used.  ``BENCH_serving.json``
+    goes to ``$REPRO_BENCH_DIR``, else ``run_dir``, else nowhere
+    (:func:`repro.obs.bench.bench_dir`).
     """
     from repro.experiments.end_to_end import build_pipeline_for_run, run_end_to_end
 
@@ -352,10 +353,8 @@ def run_serve(
         batch_score_max_diff=batch_score_max_diff,
     )
 
-    directory_out = out_dir or os.environ.get("REPRO_BENCH_DIR")
+    directory_out = bench_dir(run_dir)
     if directory_out:
-        from repro.obs.bench import BenchArtifact
-
         gates = result.gates()
         artifact = BenchArtifact("serving", scale=scale, seed=seed)
         artifact.record(

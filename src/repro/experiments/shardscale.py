@@ -38,7 +38,7 @@ from repro.datagen.entities import DataPoint, Modality
 from repro.experiments.reporting import render_table
 from repro.features.schema import FeatureKind
 from repro.labeling.lf import LabelingFunction
-from repro.obs.bench import BenchArtifact
+from repro.obs.bench import BenchArtifact, bench_dir
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -188,7 +188,6 @@ def run_shardscale(
     out_dir: str | None = None,
 ) -> ShardScaleResult:
     """Sweep corpus size × shard size through the sharded data plane."""
-    import os
     import resource
 
     from repro.datagen.tasks import classification_task, generate_task_corpora
@@ -300,8 +299,8 @@ def run_shardscale(
 
     result = ShardScaleResult(cells=cells, verdicts=verdicts, seed=seed)
 
-    bench_dir = os.environ.get("REPRO_BENCH_DIR") or out_dir
-    if bench_dir:
+    directory = bench_dir(out_dir)
+    if directory:
         artifact = BenchArtifact("shardscale", scale=0.0, seed=seed)
         for c in cells:
             tag = f"n{c.n_rows}_s{c.shard_size}"
@@ -332,5 +331,5 @@ def run_shardscale(
             },
             sublinear=result.gates()["sublinear"],
         )
-        artifact.write(bench_dir)
+        artifact.write(directory)
     return result

@@ -28,7 +28,6 @@ the sweep.
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from repro.core.exceptions import CheckpointError
 from repro.experiments.end_to_end import run_end_to_end
 from repro.experiments.reporting import render_table
 from repro.experiments.scrub import make_repair_engine
-from repro.obs.bench import BenchArtifact
+from repro.obs.bench import BenchArtifact, bench_dir
 from repro.runs import FAULT_TYPES, FaultFSConfig, RunManifest, inject_faults, scrub_run
 
 __all__ = [
@@ -288,6 +287,7 @@ def run_storagechaos(
         untyped_failures=sum(1 for c in cells if c.outcome == "untyped_failure"),
         **{f"faults_{k}": v for k, v in per_fault.items()},
     )
-    bench_dir = os.environ.get("REPRO_BENCH_DIR") or str(root)
-    artifact.write(bench_dir)
+    directory = bench_dir(out_dir)
+    if directory:
+        artifact.write(directory)
     return result

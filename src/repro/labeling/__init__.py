@@ -13,7 +13,6 @@ from repro.labeling.lf import ABSTAIN, NEGATIVE, POSITIVE, LabelingFunction, lab
 from repro.labeling.matrix import LabelMatrix, apply_lfs
 from repro.labeling.majority import MajorityVoter
 from repro.labeling.label_model import GenerativeLabelModel
-from repro.labeling.analysis import LFAnalysis
 from repro.labeling.multiclass import (
     MC_ABSTAIN,
     MulticlassLF,
@@ -27,7 +26,6 @@ __all__ = [
     "NEGATIVE",
     "POSITIVE",
     "GenerativeLabelModel",
-    "LFAnalysis",
     "LabelMatrix",
     "LabelingFunction",
     "MajorityVoter",

@@ -1,8 +1,8 @@
-"""LF and label-model analysis against a gold-labeled development set.
+"""Label-model analysis against a gold-labeled development set.
 
 Produces the canonical weak-supervision metrics the paper reports in
-§6.7: per-LF polarity / coverage / empirical accuracy, and
-precision / recall / F1 / coverage of the combined probabilistic labels.
+§6.7: precision / recall / F1 / coverage of the combined probabilistic
+labels.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.exceptions import LabelingError
-from repro.labeling.matrix import LabelMatrix
 
-__all__ = ["LFAnalysis", "WeakLabelQuality", "weak_label_quality"]
+__all__ = ["WeakLabelQuality", "weak_label_quality"]
 
 
 @dataclass(frozen=True)
@@ -104,63 +103,3 @@ def weak_label_quality(
         coverage=float(covered.mean()),
         n_points=len(gold),
     )
-
-
-class LFAnalysis:
-    """Per-LF diagnostics for a label matrix, optionally against gold."""
-
-    def __init__(self, matrix: LabelMatrix, gold: np.ndarray | None = None) -> None:
-        self.matrix = matrix
-        if gold is not None:
-            gold = np.asarray(gold, dtype=int)
-            if len(gold) != matrix.n_points:
-                raise LabelingError(
-                    f"gold has {len(gold)} labels for {matrix.n_points} points"
-                )
-        self.gold = gold
-
-    def summary(self) -> list[dict[str, object]]:
-        """One diagnostics row per LF."""
-        votes = self.matrix.votes
-        fired = votes != 0
-        total_fired = fired.sum(axis=1)
-        rows: list[dict[str, object]] = []
-        for j, lf in enumerate(self.matrix.lfs):
-            col = votes[:, j]
-            col_fired = fired[:, j]
-            n_fired = int(col_fired.sum())
-            overlaps = int((col_fired & (total_fired >= 2)).sum())
-            others = np.delete(votes, j, axis=1)
-            disagrees = (
-                (others != 0) & (others != col[:, None])
-            ).any(axis=1)
-            conflicts = int((col_fired & disagrees).sum())
-            polarity = sorted(set(col[col_fired].tolist()))
-            row: dict[str, object] = {
-                "lf": lf.name,
-                "origin": lf.origin,
-                "polarity": polarity,
-                "coverage": n_fired / max(self.matrix.n_points, 1),
-                "overlap": overlaps / max(self.matrix.n_points, 1),
-                "conflict": conflicts / max(self.matrix.n_points, 1),
-            }
-            if self.gold is not None and n_fired > 0:
-                signed_gold = np.where(self.gold == 1, 1, -1)
-                correct = int((col[col_fired] == signed_gold[col_fired]).sum())
-                row["empirical_accuracy"] = correct / n_fired
-                pos_votes = col == 1
-                n_pos_votes = int(pos_votes.sum())
-                if n_pos_votes:
-                    row["precision_pos"] = float(
-                        (self.gold[pos_votes] == 1).mean()
-                    )
-            rows.append(row)
-        return rows
-
-    def label_model_quality(
-        self, proba: np.ndarray, prior: float | None = None
-    ) -> WeakLabelQuality:
-        """Quality of probabilistic labels over this matrix's points."""
-        if self.gold is None:
-            raise LabelingError("label_model_quality requires gold labels")
-        return weak_label_quality(proba, self.gold, prior=prior)

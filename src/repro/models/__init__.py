@@ -4,8 +4,9 @@ NumPy implementations of the two model families the paper's TFX
 pipelines support — logistic regression and fully-connected deep neural
 networks — trained with a noise-aware cross-entropy over probabilistic
 labels, plus the three cross-modal fusion strategies the paper
-evaluates (early fusion, intermediate fusion, DeViSE) and a Vizier-like
-random-search hyper-parameter tuner.
+evaluates (early fusion, intermediate fusion, DeViSE).  Hyper-parameters
+are fixed in :class:`~repro.core.config.TrainingConfig`; nothing tunes
+them.
 """
 
 from repro.models.base import Estimator
@@ -19,7 +20,6 @@ from repro.models.metrics import (
     relative_auprc,
 )
 from repro.models.fusion import DeViSE, EarlyFusion, IntermediateFusion
-from repro.models.tuning import RandomSearchTuner
 
 __all__ = [
     "DeViSE",
@@ -28,7 +28,6 @@ __all__ = [
     "IntermediateFusion",
     "LogisticRegression",
     "MLPClassifier",
-    "RandomSearchTuner",
     "auprc",
     "f1_score",
     "pr_curve",

@@ -20,6 +20,12 @@ intentionally flat:
 ``timings`` holds wall-clock measurements in seconds; ``metrics`` holds
 the table/figure's key numbers (floats/ints/strings) so a regression in
 *quality* is as visible as a regression in *speed*.
+
+Where the file goes is one rule for every experiment (:func:`bench_dir`):
+``$REPRO_BENCH_DIR`` if set, else the directory the experiment was
+given, else no file.  The environment wins so a CI job can collect
+every artifact in one place while each experiment keeps its own run
+directory.
 """
 
 from __future__ import annotations
@@ -28,11 +34,24 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
-__all__ = ["BenchArtifact", "BENCH_SCHEMA_VERSION"]
+__all__ = ["BenchArtifact", "BENCH_DIR_ENV", "BENCH_SCHEMA_VERSION", "bench_dir"]
 
 BENCH_SCHEMA_VERSION = 1
+
+#: names the directory every experiment writes its artifact into
+BENCH_DIR_ENV = "REPRO_BENCH_DIR"
+
+
+def bench_dir(given: str | Path | None = None) -> str | None:
+    """Where an experiment writes ``BENCH_<name>.json``.
+
+    ``$REPRO_BENCH_DIR`` if set, else ``given`` (the directory the
+    experiment was handed), else ``None``: write no file.
+    """
+    return os.environ.get(BENCH_DIR_ENV) or (str(given) if given else None)
 
 
 @dataclass

@@ -6,7 +6,7 @@ traced pipeline run exports as a tree (featurize -> featurize_corpus ->
 mapreduce -> partitions).  Each span carries three metric families:
 
 * **counters** — monotonically accumulated values (``rows``,
-  ``retried_records``, ``degraded/<service>``);
+  ``records_mapped``, ``degraded/<service>``);
 * **gauges** — last-write-wins observations (``n_edges``,
   ``n_iterations``);
 * **histograms** — fixed-bucket distributions of per-call observations

@@ -6,18 +6,19 @@ This subpackage simulates that reality and defends against it:
 
 * :mod:`repro.resilience.faults` — deterministic, seeded fault
   injection wrapping any resource in a flaky :class:`ServiceClient`;
-* :mod:`repro.resilience.retry` — exponential backoff with
-  deterministic jitter (simulated delays, no wall-clock sleeps);
+* :mod:`repro.resilience.retry` — the exponential-backoff schedule
+  with deterministic jitter (simulated delays, no wall-clock sleeps);
 * :mod:`repro.resilience.circuit` — per-service circuit breakers with
   closed/open/half-open states on a logical clock;
 * :mod:`repro.resilience.fallback` — stale-cache -> substitute-service
   -> MISSING degradation chain;
 * :mod:`repro.resilience.policy` — the composable
-  :class:`ResiliencePolicy` tying it together, with per-service
+  :class:`ResiliencePolicy` tying it together — its ``call`` is the
+  one retry loop in the package — with per-service
   :class:`ServiceHealth` stats and per-cell degradation events.
 
 ``featurize_corpus(..., policy=...)`` threads a policy through the
-featurization MapReduce so a failed (point, resource) pair degrades to
+featurization map so a failed (point, resource) pair degrades to
 a missing cell instead of aborting the run, and the returned table
 carries a :class:`DegradationReport`.
 """
@@ -37,7 +38,7 @@ from repro.resilience.policy import (
     ResiliencePolicy,
     ServiceHealth,
 )
-from repro.resilience.retry import RetryConfig, backoff_delay, retry_call
+from repro.resilience.retry import RetryConfig, backoff_delay
 
 __all__ = [
     "CircuitBreaker",
@@ -57,5 +58,4 @@ __all__ = [
     "StaleValueCache",
     "backoff_delay",
     "build_substitute_map",
-    "retry_call",
 ]

@@ -1,4 +1,7 @@
-"""Retry with exponential backoff and deterministic jitter.
+"""Exponential backoff with deterministic jitter.
+
+The retry loop itself is :meth:`repro.resilience.ResiliencePolicy.call`,
+the one place a call is retried; this module holds its schedule.
 
 Delays are *simulated*: callers accumulate them into health stats
 instead of sleeping, so fault-injection experiments run at full speed
@@ -8,22 +11,13 @@ drawn from a caller-supplied RNG so the full schedule is reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
 
-from repro.core.exceptions import (
-    ConfigurationError,
-    DeadlineExceeded,
-    TransientServiceError,
-)
-from repro.resilience.deadline import Deadline
+from repro.core.exceptions import ConfigurationError
 
-__all__ = ["RetryConfig", "backoff_delay", "retry_call"]
-
-T = TypeVar("T")
+__all__ = ["RetryConfig", "backoff_delay"]
 
 
 @dataclass(frozen=True)
@@ -63,57 +57,3 @@ def backoff_delay(
     if config.jitter == 0.0:
         return raw
     return raw * (1.0 + config.jitter * (2.0 * rng.random() - 1.0))
-
-
-def retry_call(
-    fn: Callable[[int], T],
-    config: RetryConfig,
-    rng: np.random.Generator,
-    on_retry: Callable[[int, Exception, float], None] | None = None,
-    deadline: Deadline | None = None,
-) -> T:
-    """Call ``fn(attempt)`` until it succeeds or attempts are exhausted.
-
-    Only :class:`TransientServiceError` (and subclasses) are retried;
-    everything else propagates immediately.  ``on_retry`` observes
-    (attempt, error, simulated_delay) before each re-dial.  The last
-    transient error is re-raised when the budget runs out.
-
-    With a ``deadline``, every backoff delay is charged against the
-    budget.  A backoff that does not fit the remaining budget is capped
-    at it (the call still pays what is left — in production the caller
-    really does wait until the deadline fires) and
-    :class:`DeadlineExceeded` is raised instead of re-dialing; the
-    triggering transient error is chained as ``__cause__``.
-    """
-    last_error: TransientServiceError | None = None
-    for attempt in range(config.max_attempts):
-        if deadline is not None and deadline.exceeded:
-            raise DeadlineExceeded(
-                f"deadline budget {deadline.budget}s exhausted before "
-                f"attempt {attempt + 1}"
-            ) from last_error
-        try:
-            return fn(attempt)
-        except TransientServiceError as exc:
-            last_error = exc
-            if attempt + 1 >= config.max_attempts:
-                break
-            delay = backoff_delay(config, attempt + 1, rng)
-            if deadline is not None:
-                capped = deadline.cap(delay)
-                deadline.consume(capped)
-                if capped < delay:
-                    if on_retry is not None:
-                        on_retry(attempt + 1, exc, capped)
-                    raise DeadlineExceeded(
-                        f"backoff of {delay:.4f}s after attempt {attempt + 1} "
-                        f"exceeds remaining deadline budget ({capped:.4f}s "
-                        f"of {deadline.budget}s left); slept the remainder "
-                        f"and gave up"
-                    ) from exc
-                delay = capped
-            if on_retry is not None:
-                on_retry(attempt + 1, exc, delay)
-    assert last_error is not None
-    raise last_error

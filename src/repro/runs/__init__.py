@@ -12,10 +12,9 @@ This package makes a pipeline run durable:
   fingerprints (chained over input hashes), and artifacts;
 * :class:`RunCheckpointer` — stage replay-or-compute threaded through
   :meth:`CrossModalPipeline.run <repro.core.pipeline.CrossModalPipeline.run>`;
-* :class:`PartitionCheckpointer` — the same at MapReduce partition
-  granularity;
 * :class:`ProgressManifest` — the job-key-gated ``index -> entry`` file
-  behind partition checkpoints and sharded stage resume;
+  behind sharded stage resume, so a killed sharded stage recomputes
+  only the shards it had not finished;
 * :mod:`repro.runs.crash` — kill-at-boundary injection used by the
   crash/resume harness (``python -m repro.experiments crash``);
 * :mod:`repro.runs.repair` — lineage-driven replay of damaged
@@ -33,7 +32,7 @@ powers self-healing: a damaged artifact's producing stage replays to
 bit-identical bytes, or repair refuses and fails loudly.
 """
 
-from repro.runs.checkpoint import PartitionCheckpointer, RunCheckpointer, StageOutcome
+from repro.runs.checkpoint import RunCheckpointer, StageOutcome
 from repro.runs.crash import (
     CRASH_AT_ENV,
     CRASH_EXIT_CODE,
@@ -66,7 +65,6 @@ __all__ = [
     "FaultyFS",
     "InjectedFaultError",
     "MANIFEST_VERSION",
-    "PartitionCheckpointer",
     "ProgressManifest",
     "RepairAction",
     "RepairEngine",

@@ -1,4 +1,4 @@
-"""Run- and partition-level checkpointers.
+"""Stage-level checkpointing.
 
 :class:`RunCheckpointer` is what the pipeline threads through its
 stages: each stage declares its effective configuration (including the
@@ -7,11 +7,6 @@ stage from durable artifacts (fingerprint match) or computes it, stores
 the artifacts, and records completion in the manifest — in that order,
 so the manifest never references bytes that aren't on disk.
 
-:class:`PartitionCheckpointer` is the same idea one level down, for
-MapReduce: each completed partition's mapped output is persisted and
-recorded in a :class:`~repro.runs.progress.ProgressManifest`, so a
-killed job recomputes only the partitions that hadn't finished.
-
 Every save / skip emits :mod:`repro.obs` spans and counters
 (``runs.stage.save``, ``runs.stage.skip``, ``runs.stages_skipped`` …)
 so a traced resumed run shows exactly what it reused.
@@ -19,7 +14,6 @@ so a traced resumed run shows exactly what it reused.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,11 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.exceptions import ArtifactMissingError, CheckpointError, IntegrityError
 from repro.runs.crash import crash_boundary
 from repro.runs.manifest import RunManifest, StageRecord, stage_fingerprint
-from repro.runs.progress import ProgressManifest
 from repro.runs.repair import verify_and_restore
 from repro.runs.store import ArtifactRef, RunStore
 
-__all__ = ["StageOutcome", "RunCheckpointer", "PartitionCheckpointer"]
+__all__ = ["StageOutcome", "RunCheckpointer"]
 
 #: encode() returns {artifact_name: (kind, json_payload)}
 Encoded = dict[str, tuple[str, Any]]
@@ -243,65 +236,3 @@ class RunCheckpointer:
         obs.add_counter("runs.stages_computed")
         crash_boundary(f"stage:{name}")
         return StageOutcome(value=value, record=record, reused=False)
-
-
-class PartitionCheckpointer:
-    """Completed-partition checkpointing for a MapReduce job.
-
-    Partition payloads (the mapped-and-combined group dict plus local
-    counters) are pickled into a content-hashed :class:`RunStore`; a
-    :class:`~repro.runs.progress.ProgressManifest` (``partitions.json``)
-    maps partition index → artifact reference.  ``job_key`` identifies
-    the job configuration — partitions recorded under a different key
-    belong to a different computation and are ignored.
-
-    Thread-safe: partitions may complete on worker threads; the
-    manifest serializes its updates.
-    """
-
-    FILENAME = "partitions.json"
-    KIND = "mapreduce.partition.pkl"
-
-    def __init__(self, root: str | Path, job_key: str) -> None:
-        self.root = Path(root)
-        self.store = RunStore(self.root)
-        self.progress = ProgressManifest(self.root / self.FILENAME, job_key)
-
-    def load(self, index: int) -> Any | None:
-        """The checkpointed payload of partition ``index``, or ``None``.
-
-        Corrupt payloads quarantine and raise (via the store) rather
-        than silently recomputing.
-        """
-        entry = self.progress.get(index)
-        if entry is None:
-            return None
-        ref = ArtifactRef.from_dict(entry)
-        data = self.store.get_bytes(ref)
-        try:
-            payload = pickle.loads(data)
-        except Exception as exc:  # noqa: BLE001 - any unpickle failure is corruption
-            quarantined = self.store.quarantine(self.store.path_for(ref))
-            note = (
-                f"quarantined at {quarantined}"
-                if quarantined is not None
-                else "already quarantined by a concurrent reader"
-            )
-            raise IntegrityError(
-                f"partition {index} checkpoint could not be unpickled ({exc}); "
-                f"{note}",
-                quarantined=quarantined,
-            ) from exc
-        obs.add_counter("runs.partitions_skipped")
-        return payload
-
-    def save(self, index: int, payload: Any) -> None:
-        """Persist partition ``index``'s payload and update the manifest."""
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        ref = self.store.put_bytes(self.KIND, data)
-        self.progress.save(index, ref.to_dict())
-        obs.add_counter("runs.partitions_saved")
-
-    def completed(self) -> list[int]:
-        """Indices of checkpointed partitions (sorted)."""
-        return self.progress.completed()

@@ -3,11 +3,11 @@
 The resume guarantee is only credible if it is *proved* by killing real
 runs.  This module is the injection point: checkpointing code calls
 :func:`crash_boundary` immediately after each durable boundary (a stage
-record persisted, a MapReduce partition checkpointed), and the
-environment decides whether the process dies there.
+record persisted, a shard of a sharded stage recorded in its progress
+manifest), and the environment decides whether the process dies there.
 
 ``REPRO_CRASH_AT`` names the boundary to kill at — ``stage:curate``,
-``partition:3``, … — and ``REPRO_CRASH_MODE`` selects how:
+``shard:<tag>:3``, … — and ``REPRO_CRASH_MODE`` selects how:
 
 * ``exit`` (default): ``os._exit(CRASH_EXIT_CODE)`` — no ``atexit``
   handlers, no ``finally`` blocks, the closest a test harness gets to

@@ -1,7 +1,7 @@
 """Completed-unit progress manifests for resumable sub-stage work.
 
 A :class:`ProgressManifest` is one JSON file mapping a unit index — a
-MapReduce partition, a featurize or votes shard — to that unit's entry
+featurize or votes shard — to that unit's entry
 (the artifact refs it persisted, plus whatever its driver needs to
 adopt it on resume).  It is rewritten atomically after every completed
 unit, so a killed job recomputes only the units it had not finished.

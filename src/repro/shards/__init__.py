@@ -25,7 +25,6 @@ from repro.shards.codec import (
     decode_table_shard,
     encode_dense,
     encode_table_shard,
-    mmap_dense,
 )
 from repro.shards.corpus import ShardedCorpus, build_sharded_corpus
 from repro.shards.layout import shard_of_row, shard_ranges
@@ -49,7 +48,6 @@ __all__ = [
     "encode_dense",
     "encode_table_shard",
     "featurize_corpus_sharded",
-    "mmap_dense",
     "run_mapreduce_sharded",
     "shard_of_row",
     "shard_ranges",

@@ -18,16 +18,13 @@ The dense container is deterministic byte-for-byte given the shard's
 content: a fixed magic, a canonical-JSON header, then the arrays at
 recorded offsets.  That determinism is what lets shard artifacts join
 the content-hash repair oracle (``scrub --repair``) and the
-differential shard-equivalence harness.  :func:`mmap_dense` memory-maps
-the arrays straight off a store file without reading the payload into
-RSS.
+differential shard-equivalence harness.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +41,6 @@ __all__ = [
     "decode_table_shard",
     "encode_dense",
     "encode_table_shard",
-    "mmap_dense",
 ]
 
 #: container magic + version byte; bump the byte on incompatible change
@@ -158,12 +154,12 @@ def encode_dense(
     )
 
 
-def _parse_header(data: bytes, origin: str) -> tuple[dict, int]:
+def _parse_header(data: bytes) -> tuple[dict, int]:
     """(header dict, payload base offset) of a dense container."""
     if data[: len(_MAGIC)] != _MAGIC:
         raise IntegrityError(
-            f"dense shard container {origin} lacks the RSHD magic; "
-            f"the artifact kind does not match its content"
+            "dense shard container lacks the RSHD magic; "
+            "the artifact kind does not match its content"
         )
     pos = len(_MAGIC)
     header_len = int.from_bytes(data[pos : pos + 8], "little")
@@ -172,11 +168,11 @@ def _parse_header(data: bytes, origin: str) -> tuple[dict, int]:
         header = json.loads(data[pos : pos + header_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IntegrityError(
-            f"dense shard container {origin} has an unreadable header: {exc}"
+            f"dense shard container has an unreadable header: {exc}"
         ) from exc
     if header.get("format_version") != _SHARD_FORMAT_VERSION:
         raise IntegrityError(
-            f"dense shard container {origin} has format version "
+            "dense shard container has format version "
             f"{header.get('format_version')!r}; this build reads "
             f"{_SHARD_FORMAT_VERSION}"
         )
@@ -185,7 +181,7 @@ def _parse_header(data: bytes, origin: str) -> tuple[dict, int]:
 
 def decode_dense(data: bytes) -> DenseView:
     """Decode a dense container from verified bytes (zero-copy views)."""
-    header, base = _parse_header(data, "(in-memory)")
+    header, base = _parse_header(data)
     values: dict[str, np.ndarray] = {}
     presence: dict[str, np.ndarray] = {}
     for col in header["columns"]:
@@ -200,44 +196,6 @@ def decode_dense(data: bytes) -> DenseView:
         )
         values[col["name"]] = arr
         presence[col["name"]] = pres
-    return DenseView(n_rows=header["n_rows"], values=values, presence=presence)
-
-
-def mmap_dense(path: str | Path) -> DenseView:
-    """Memory-map a dense container's arrays directly off ``path``.
-
-    The arrays are read-only :class:`numpy.memmap` views: touching a
-    row pages in only that row, so scans over huge shards never
-    materialize the payload.  Callers wanting integrity guarantees
-    should :meth:`~repro.runs.store.RunStore.check` the artifact first —
-    mapping skips the content-hash read path by design.
-    """
-    path = Path(path)
-    with path.open("rb") as handle:
-        prefix = handle.read(len(_MAGIC) + 8)
-        header_len = int.from_bytes(prefix[len(_MAGIC) :], "little")
-        header_bytes = handle.read(header_len)
-    header, base = _parse_header(
-        prefix + header_bytes, str(path)
-    )
-    values: dict[str, np.ndarray] = {}
-    presence: dict[str, np.ndarray] = {}
-    for col in header["columns"]:
-        shape = tuple(col["shape"])
-        if int(np.prod(shape, dtype=np.int64)) == 0:
-            # zero-size mappings are invalid; an all-missing embedding
-            # column has no bytes to map anyway
-            values[col["name"]] = np.zeros(shape, dtype=_VALUE_DTYPE)
-        else:
-            values[col["name"]] = np.memmap(
-                path, dtype=_VALUE_DTYPE, mode="r",
-                offset=base + col["offset"], shape=shape,
-            )
-        presence[col["name"]] = np.memmap(
-            path, dtype=_PRESENCE_DTYPE, mode="r",
-            offset=base + col["presence_offset"],
-            shape=(col["presence_nbytes"],),
-        )
     return DenseView(n_rows=header["n_rows"], values=values, presence=presence)
 
 

@@ -17,8 +17,7 @@ executor grid, so peak RSS is O(shard) + O(output), not O(corpus):
   invariant under combiner pre-aggregation (combiners may run zero or
   more times).  Values reach the reducer in global input order.
 
-Crash safety mirrors MapReduce partitions one level up: every
-completed shard is persisted and recorded in a
+Crash safety: every completed shard is persisted and recorded in a
 :class:`~repro.runs.progress.ProgressManifest` before the
 ``shard:<tag>:<index>`` crash boundary, so a killed run recomputes only
 unfinished shards — and resumes to bit-identical artifacts, which the
@@ -329,16 +328,9 @@ def run_mapreduce_sharded(
             indexed = [(offset + i, r) for i, r in enumerate(batch)]
             offset += len(batch)
             if ex.backend == "serial" or len(indexed) < 2:
-                results = [
-                    _map_partition_core(mapper, combiner, indexed, 0, False)
-                ]
+                results = [_map_partition_core(mapper, combiner, indexed)]
             else:
-                task = _PartitionTask(
-                    mapper=mapper,
-                    combiner=combiner,
-                    record_retries=0,
-                    skip_bad_records=False,
-                )
+                task = _PartitionTask(mapper=mapper, combiner=combiner)
                 chunks = iter_chunks(indexed, ex.workers)
                 results = ex.map_ordered(task, chunks, chunk_size=1)
             for grouped, counts in results:

@@ -22,12 +22,7 @@ from repro.core.exceptions import CheckpointError, SchemaError
 from repro.features.io import _spec_from_dict, _spec_to_dict
 from repro.features.schema import FeatureSchema
 from repro.features.table import FeatureTable
-from repro.shards.codec import (
-    DenseView,
-    decode_table_shard,
-    encode_table_shard,
-    mmap_dense,
-)
+from repro.shards.codec import decode_table_shard, encode_table_shard
 from repro.shards.layout import shard_ranges
 from repro.runs.store import ArtifactRef, RunStore
 
@@ -159,18 +154,6 @@ class ShardedTable:
         """Stream every row holding one shard in memory at a time."""
         for shard in self.iter_shards():
             yield from shard.iter_rows()
-
-    def mmap_shard_dense(self, index: int) -> DenseView | None:
-        """Memory-map one shard's dense columns off the store file.
-
-        Returns ``None`` for shards without a dense part.  The mapping
-        bypasses hash verification (that is the point — no payload
-        read); callers needing the guarantee check the ref first.
-        """
-        _rows_ref, dense_ref = self.shard_refs(index)
-        if dense_ref is None:
-            return None
-        return mmap_dense(self.store.path_for(dense_ref))
 
     def to_table(self) -> FeatureTable:
         """Materialize the full table (O(corpus) memory — for callers

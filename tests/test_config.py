@@ -1,9 +1,17 @@
 """Tests for repro.core.config — pipeline configuration validation."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import CurationConfig, PipelineConfig, TrainingConfig
 from repro.core.exceptions import ConfigurationError
+from repro.exec import ExecutorConfig
+from repro.propagation.graph import GraphConfig
+from repro.resilience import RetryConfig
+from repro.serving import ServingConfig
 
 
 def test_defaults_are_valid():
@@ -55,3 +63,36 @@ def test_nonservable_simulation_config():
     )
     assert config.model_service_sets == ("A", "B")
     assert config.lf_service_sets == ("A", "B", "C", "D")
+
+
+# ----------------------------------------------------------------------
+# no inert knobs: every config field is read somewhere in the program
+# ----------------------------------------------------------------------
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "config_class",
+    [
+        CurationConfig,
+        TrainingConfig,
+        PipelineConfig,
+        ServingConfig,
+        GraphConfig,
+        RetryConfig,
+        ExecutorConfig,
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_config_field_is_read(config_class):
+    """A field nothing reads as ``.<field>`` is a knob that silently does
+    nothing when set."""
+    source = "\n".join(
+        path.read_text(encoding="utf-8") for path in sorted(_SRC.rglob("*.py"))
+    )
+    unread = [
+        f.name
+        for f in fields(config_class)
+        if not re.search(rf"\.{f.name}\b", source)
+    ]
+    assert unread == [], f"{config_class.__name__} fields nothing reads: {unread}"

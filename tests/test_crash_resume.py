@@ -14,9 +14,8 @@ import pytest
 from repro.core.config import CurationConfig, PipelineConfig
 from repro.core.exceptions import SimulatedCrashError
 from repro.core.pipeline import CrossModalPipeline
-from repro.dataflow.mapreduce import MapReduceJob
 from repro.exec import ExecutorConfig
-from repro.runs import PartitionCheckpointer, RunCheckpointer
+from repro.runs import RunCheckpointer
 from repro.runs.crash import CRASH_AT_ENV, CRASH_MODE_ENV
 
 STAGES = ("featurize", "curate", "train", "evaluate")
@@ -115,131 +114,3 @@ def test_process_backend_crash_resumes_on_serial_bit_identical(
     assert resumed.resumed_stages == ["featurize", "curate"]
     assert resumed.metrics == baseline.metrics
     assert np.array_equal(resumed.test_scores, baseline.test_scores)
-
-
-# ----------------------------------------------------------------------
-# MapReduce partition-level crash/resume
-# ----------------------------------------------------------------------
-def _job(checkpoint=None, executor=None, calls=None):
-    def mapper(r):
-        if calls is not None:
-            calls.append(r)
-        return [(r % 3, r)]
-
-    return MapReduceJob(
-        mapper=mapper,
-        reducer=lambda key, values: sorted(values),
-        n_partitions=4,
-        executor=executor,
-        checkpoint=checkpoint,
-    )
-
-
-@pytest.mark.parametrize("kill_partition", [0, 2])
-def test_mapreduce_partition_kill_and_resume(
-    tmp_path, monkeypatch, kill_partition
-):
-    records = list(range(20))
-    expected = _job().run(records)
-
-    monkeypatch.setenv(CRASH_MODE_ENV, "raise")
-    monkeypatch.setenv(CRASH_AT_ENV, f"partition:{kill_partition}")
-    job = _job(checkpoint=PartitionCheckpointer(tmp_path, job_key="j"))
-    with pytest.raises(SimulatedCrashError):
-        job.run(records)
-
-    monkeypatch.delenv(CRASH_AT_ENV)
-    calls: list[int] = []
-    resumed = _job(
-        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"), calls=calls
-    )
-    assert resumed.run(records) == expected
-    # the killed partition's checkpoint was durable before the crash,
-    # so its records (index % 4 == kill_partition) are never re-mapped
-    assert all(r % 4 != kill_partition for r in calls)
-    assert resumed.counters["records_mapped"] == len(records)
-
-
-def _mod3_mapper(r):
-    return [(r % 3, r)]
-
-
-def _sorted_reducer(key, values):
-    return sorted(values)
-
-
-@pytest.mark.parametrize("kill_partition", [0, 2])
-def test_mapreduce_process_partition_kill_and_resume(
-    tmp_path, monkeypatch, kill_partition
-):
-    """A process-backend job killed mid-run leaves a resumable prefix:
-    the coordinator checkpoints partition payloads in partition order as
-    worker results arrive, so a serial resume replays the completed
-    prefix bit-identically and never re-maps its records."""
-    records = list(range(20))
-    expected = _job().run(records)
-
-    monkeypatch.setenv(CRASH_MODE_ENV, "raise")
-    monkeypatch.setenv(CRASH_AT_ENV, f"partition:{kill_partition}")
-    job = MapReduceJob(
-        mapper=_mod3_mapper,
-        reducer=_sorted_reducer,
-        n_partitions=4,
-        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"),
-        executor=ExecutorConfig(backend="process", workers=2),
-    )
-    with pytest.raises(SimulatedCrashError):
-        job.run(records)
-    # checkpoint saves happen in partition order on the coordinator, so
-    # exactly the prefix up to the kill point is durable
-    saved = PartitionCheckpointer(tmp_path, job_key="j").completed()
-    assert saved == list(range(kill_partition + 1))
-
-    monkeypatch.delenv(CRASH_AT_ENV)
-    calls: list[int] = []
-    resumed = _job(
-        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"), calls=calls
-    )
-    assert resumed.run(records) == expected
-    # every checkpointed partition's records replay from disk
-    assert all(r % 4 > kill_partition for r in calls)
-    assert resumed.counters["records_mapped"] == len(records)
-
-
-def test_mapreduce_process_resume_from_threaded_checkpoint(tmp_path):
-    """Backends share checkpoint identity (the job_key carries no
-    backend), so a process run resumes a threaded run's partitions."""
-    records = list(range(40))
-    expected = _job().run(records)
-    first = _job(
-        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"), executor=ExecutorConfig("thread", 4)
-    )
-    assert first.run(records) == expected
-    second = MapReduceJob(
-        mapper=_mod3_mapper,
-        reducer=_sorted_reducer,
-        n_partitions=4,
-        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"),
-        executor=ExecutorConfig(backend="process", workers=2),
-    )
-    assert second.run(records) == expected
-    assert second.counters["records_mapped"] == len(records)
-
-
-def test_mapreduce_threaded_resume_matches(tmp_path):
-    records = list(range(40))
-    expected = _job().run(records)
-    ck_dir = tmp_path / "job"
-    first = _job(
-        checkpoint=PartitionCheckpointer(ck_dir, job_key="j"), executor=ExecutorConfig("thread", 4)
-    )
-    assert first.run(records) == expected
-    calls: list[int] = []
-    second = _job(
-        checkpoint=PartitionCheckpointer(ck_dir, job_key="j"),
-        executor=ExecutorConfig("thread", 4),
-        calls=calls,
-    )
-    assert second.run(records) == expected
-    assert calls == []  # everything replayed from checkpoints
-    assert second.counters["records_mapped"] == len(records)

@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.core.config import CurationConfig, PipelineConfig
+from repro.core.exceptions import RecordError
 from repro.core.pipeline import CrossModalPipeline
 from repro.core.rng import derive_seed
 from repro.dataflow.mapreduce import run_map, run_mapreduce
@@ -166,27 +167,23 @@ def _flaky_square(record):
 
 @pytest.mark.parametrize("backend,workers", GRID)
 def test_run_map_with_failures_differential(backend, workers):
-    records = list(range(80))
-    base_counters: dict[str, int] = {}
-    expected = run_map(
-        records,
-        _flaky_square,
-        skip_bad_records=True,
-        error_value=-1,
-        counters=base_counters,
+    """A poisoned record fails the map with the serial run's error: the
+    earliest poisoned record and its index."""
+    records = list(range(1, 80))
+    with pytest.raises(RecordError) as expected:
+        run_map(records, _flaky_square)
+    with pytest.raises(RecordError) as got:
+        run_map(
+            records,
+            _flaky_square,
+            executor=ExecutorConfig(backend=backend, workers=workers),
+        )
+    assert (got.value.index, got.value.record) == (12, 13)
+    assert (got.value.index, got.value.record) == (
+        expected.value.index,
+        expected.value.record,
     )
-    counters: dict[str, int] = {}
-    result = run_map(
-        records,
-        _flaky_square,
-        skip_bad_records=True,
-        error_value=-1,
-        counters=counters,
-        executor=ExecutorConfig(backend=backend, workers=workers),
-    )
-    assert result == expected
-    assert counters == base_counters
-    assert counters["failed_records"] == len([r for r in records if r % 13 == 0])
+    assert str(got.value) == str(expected.value)
 
 
 # ----------------------------------------------------------------------

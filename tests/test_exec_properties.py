@@ -1,14 +1,13 @@
-"""Property-based backend equivalence: random MapReduce programs with
-injected record failures must produce identical outputs and identical
-``failed_records`` / ``retried_records`` accounting on the serial,
-thread, and process backends.
+"""Property-based backend equivalence: random clean MapReduce programs
+must produce identical outputs and counters on the serial, thread, and
+process backends, and a poisoned record must fail the job with the same
+:class:`RecordError` — the earliest poisoned record and its index — on
+every backend.
 
 Mapper/combiner/reducer programs are drawn from a small space of
 picklable building blocks (module-level task objects, never closures)
 so every generated program is legal on the process backend.
 """
-
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -41,28 +40,6 @@ class _ModMapper:
         return [(record % self.m, record * self.scale)]
 
 
-class _FlakyFirstAttempt:
-    """Fails the first attempt for every record, succeeds on retry.
-
-    Carries per-record attempt state *inside the task object*: under
-    the process backend each worker holds its own copy, but retries of
-    one record always happen on the worker that owns it, so the
-    schedule — first attempt fails, retry succeeds — is identical on
-    every backend.
-    """
-
-    __slots__ = ("seen",)
-
-    def __init__(self):
-        self.seen = Counter()
-
-    def __call__(self, record):
-        self.seen[record] += 1
-        if self.seen[record] == 1:
-            raise OSError(f"transient fault for {record}")
-        return record + 1000
-
-
 def _sum_combiner(key, values):
     return [sum(values)]
 
@@ -89,8 +66,6 @@ def _run_job(records, mapper, combiner, reducer, n_partitions, executor):
         reducer=reducer,
         combiner=combiner,
         n_partitions=n_partitions,
-        skip_bad_records=True,
-        record_retries=0,
         executor=executor,
     )
     output = job.run(records)
@@ -102,15 +77,14 @@ def _run_job(records, mapper, combiner, reducer, n_partitions, executor):
     records=st.lists(st.integers(min_value=-50, max_value=200), max_size=60),
     m=st.integers(min_value=1, max_value=9),
     scale=st.integers(min_value=-3, max_value=3),
-    poison=st.sampled_from([0, 2, 5, 7]),
     combiner_index=st.integers(min_value=0, max_value=len(_COMBINERS) - 1),
     reducer_index=st.integers(min_value=0, max_value=len(_REDUCERS) - 1),
     n_partitions=st.integers(min_value=1, max_value=6),
 )
 def test_random_mapreduce_programs_agree_across_backends(
-    records, m, scale, poison, combiner_index, reducer_index, n_partitions
+    records, m, scale, combiner_index, reducer_index, n_partitions
 ):
-    mapper = _ModMapper(m, scale, poison)
+    mapper = _ModMapper(m, scale, 0)
     combiner = _COMBINERS[combiner_index]
     reducer = _REDUCERS[reducer_index]
     base_output, base_counters = _run_job(
@@ -122,69 +96,46 @@ def test_random_mapreduce_programs_agree_across_backends(
         )
         assert output == base_output
         assert counters == base_counters
-    if poison:
-        assert base_counters["failed_records"] == len(
-            [r for r in records if r % poison == 0]
-        )
+    assert base_counters["records_mapped"] == len(records)
 
 
 @settings(max_examples=10, deadline=None)
 @given(
     records=st.lists(st.integers(min_value=0, max_value=500), max_size=50),
     poison=st.sampled_from([2, 3, 7]),
+    n_partitions=st.integers(min_value=1, max_value=6),
 )
-def test_run_map_failure_accounting_agrees_across_backends(records, poison):
+def test_earliest_poisoned_record_raises_on_every_backend(
+    records, poison, n_partitions
+):
+    """``run_map`` and ``MapReduceJob`` fail on the earliest poisoned
+    record, with its index, on serial, thread, and process alike.  A
+    job maps partition by partition (record ``i`` lands in partition
+    ``i % n``), so its earliest record is the first in that order."""
     mapper = _ModMapper(3, 1, poison)
-    base_counters: dict[str, int] = {}
-    base = run_map(
-        records,
-        mapper,
-        skip_bad_records=True,
-        error_value=None,
-        counters=base_counters,
-    )
-    for executor in PARALLEL_BACKENDS:
-        counters: dict[str, int] = {}
-        result = run_map(
-            records,
-            mapper,
-            skip_bad_records=True,
-            error_value=None,
-            counters=counters,
-            executor=executor,
-        )
-        assert result == base
-        assert counters == base_counters
-
-
-@settings(max_examples=8, deadline=None)
-@given(records=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=40, unique=True))
-def test_retried_records_agree_across_backends(records):
-    """Every record fails once then succeeds: retried_records must equal
-    the record count on every backend, and outputs must match."""
-    base_counters: dict[str, int] = {}
-    base = run_map(
-        records, _FlakyFirstAttempt(), record_retries=1, counters=base_counters
-    )
-    assert base == [r + 1000 for r in records]
-    assert base_counters["retried_records"] == len(records)
-    assert base_counters["failed_records"] == 0
-    for executor in PARALLEL_BACKENDS:
-        counters: dict[str, int] = {}
-        result = run_map(
-            records,
-            _FlakyFirstAttempt(),
-            record_retries=1,
-            counters=counters,
-            executor=executor,
-        )
-        assert result == base
-        assert counters == base_counters
+    poisoned = [i for i, r in enumerate(records) if r % poison == 0]
+    n = min(n_partitions, max(len(records), 1))
+    job_first = min(poisoned, key=lambda i: (i % n, i), default=None)
+    for executor in (ExecutorConfig(),) + PARALLEL_BACKENDS:
+        if not poisoned:
+            assert run_map(records, mapper, executor=executor) == [
+                [(r % 3, r)] for r in records
+            ]
+            continue
+        with pytest.raises(RecordError) as excinfo:
+            run_map(records, mapper, executor=executor)
+        assert excinfo.value.index == poisoned[0]
+        assert excinfo.value.record == records[poisoned[0]]
+        with pytest.raises(RecordError) as excinfo:
+            _run_job(
+                records, mapper, None, _total_reducer, n_partitions, executor
+            )
+        assert excinfo.value.index == job_first
 
 
 def test_error_identity_is_backend_free():
-    """Without skip_bad_records the earliest poisoned record's error
-    surfaces, carrying the same record/index on every backend."""
+    """The earliest poisoned record's error surfaces, carrying the same
+    record/index on every backend."""
     records = [1, 5, 14, 21, 35]  # poison=7 -> first failure at index 2
     mapper = _ModMapper(3, 1, 7)
     failures = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import LabelingError
-from repro.labeling.analysis import LFAnalysis, weak_label_quality
+from repro.labeling.analysis import weak_label_quality
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.majority import MajorityVoter
 from repro.labeling.matrix import LabelMatrix
@@ -71,34 +71,3 @@ class TestWeakLabelQuality:
         proba = np.array([0.9, 0.1, 0.1, 0.1])
         quality = weak_label_quality(proba, gold, prior=0.1)
         assert quality.coverage == pytest.approx(0.25)
-
-
-class TestLFAnalysis:
-    def test_summary_polarity_and_coverage(self):
-        matrix = _matrix([[1, 0], [1, -1], [0, -1], [0, 0]])
-        rows = LFAnalysis(matrix).summary()
-        assert rows[0]["polarity"] == [1]
-        assert rows[1]["polarity"] == [-1]
-        assert rows[0]["coverage"] == pytest.approx(0.5)
-
-    def test_conflict_counts_disagreements(self):
-        matrix = _matrix([[1, -1], [1, 1]])
-        rows = LFAnalysis(matrix).summary()
-        assert rows[0]["conflict"] == pytest.approx(0.5)
-
-    def test_empirical_accuracy_with_gold(self):
-        matrix = _matrix([[1], [1], [-1], [0]])
-        gold = np.array([1, 0, 0, 1])
-        rows = LFAnalysis(matrix, gold).summary()
-        # fired 3 times, correct on rows 0 (pos) and 2 (neg)
-        assert rows[0]["empirical_accuracy"] == pytest.approx(2 / 3)
-
-    def test_gold_alignment_checked(self):
-        matrix = _matrix([[1], [0]])
-        with pytest.raises(LabelingError):
-            LFAnalysis(matrix, np.array([1]))
-
-    def test_label_model_quality_requires_gold(self):
-        matrix = _matrix([[1]])
-        with pytest.raises(LabelingError):
-            LFAnalysis(matrix).label_model_quality(np.array([0.5]))

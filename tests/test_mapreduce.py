@@ -105,7 +105,7 @@ def test_keys_sorted_in_output():
 
 
 # ----------------------------------------------------------------------
-# robustness: raising mappers, record retries, skip_bad_records
+# failures: a raising mapper fails the job with its record's context
 # ----------------------------------------------------------------------
 from repro.core.exceptions import RecordError  # noqa: E402
 
@@ -135,62 +135,6 @@ def test_raising_mapper_threaded_surfaces_record_context():
     assert info.value.index == 13
 
 
-def test_skip_bad_records_drops_only_poisoned():
-    def mapper(record):
-        if record % 7 == 0:
-            raise ValueError("bad")
-        yield "k", record
-
-    job = MapReduceJob(
-        mapper=mapper, reducer=lambda k, vs: sorted(vs), skip_bad_records=True
-    )
-    result = job.run(list(range(21)))
-    expected = sorted(r for r in range(21) if r % 7 != 0)
-    assert result["k"] == expected
-    assert job.counters["failed_records"] == 3
-    assert job.counters["records_mapped"] == 18
-
-
-def test_skip_bad_records_threaded_matches_sequential():
-    def mapper(record):
-        if record % 5 == 0:
-            raise ValueError("bad")
-        yield record % 3, record
-
-    seq = run_mapreduce(
-        list(range(60)), mapper, lambda k, vs: sorted(vs),
-        skip_bad_records=True,
-    )
-    par = run_mapreduce(
-        list(range(60)), mapper, lambda k, vs: sorted(vs),
-        skip_bad_records=True, executor=ExecutorConfig("thread", 4),
-    )
-    assert seq == par
-
-
-def test_record_retries_recover_flaky_mapper():
-    import threading
-
-    attempts: dict[int, int] = {}
-    lock = threading.Lock()
-
-    def flaky_mapper(record):
-        with lock:
-            attempts[record] = attempts.get(record, 0) + 1
-            if attempts[record] == 1 and record % 4 == 0:
-                raise RuntimeError("first attempt always fails")
-        yield "k", record
-
-    job = MapReduceJob(
-        mapper=flaky_mapper, reducer=lambda k, vs: sorted(vs),
-        record_retries=1, executor=ExecutorConfig("thread", 4),
-    )
-    result = job.run(list(range(16)))
-    assert result["k"] == list(range(16))
-    assert job.counters["retried_records"] == 4
-    assert job.counters["failed_records"] == 0
-
-
 def test_mapper_side_counters_aggregated_across_threads():
     lines = [f"w{i % 7} w{i % 3}" for i in range(200)]
     job = MapReduceJob(
@@ -208,22 +152,6 @@ def test_mapper_side_counters_aggregated_across_threads():
     assert 0 < job.counters["combiner_values_out"] < 400
 
 
-def test_run_map_skip_and_counters():
-    def fn(r):
-        if r == 5:
-            raise ValueError("bad")
-        return r * 2
-
-    counters: dict[str, int] = {}
-    out = run_map(
-        list(range(10)), fn, executor=ExecutorConfig("thread", 4),
-        skip_bad_records=True, error_value=None, counters=counters,
-    )
-    assert out == [r * 2 if r != 5 else None for r in range(10)]
-    assert counters["failed_records"] == 1
-    assert counters["records_mapped"] == 9
-
-
 def test_run_map_raises_with_context():
     def fn(r):
         if r == 3:
@@ -233,29 +161,6 @@ def test_run_map_raises_with_context():
     with pytest.raises(RecordError) as info:
         run_map(list(range(6)), fn)
     assert info.value.index == 3
-
-
-def test_run_map_retries_flaky_fn():
-    import threading
-
-    attempts: dict[int, int] = {}
-    lock = threading.Lock()
-
-    def flaky(r):
-        with lock:
-            attempts[r] = attempts.get(r, 0) + 1
-            if attempts[r] == 1:
-                raise RuntimeError("flake")
-        return r + 1
-
-    counters: dict[str, int] = {}
-    out = run_map(
-        list(range(8)), flaky, executor=ExecutorConfig("thread", 4),
-        record_retries=2, counters=counters,
-    )
-    assert out == [r + 1 for r in range(8)]
-    assert counters["retried_records"] == 8
-    assert counters["failed_records"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from repro.resilience import (
     StaleValueCache,
     backoff_delay,
     build_substitute_map,
-    retry_call,
 )
 from repro.exec import ExecutorConfig
 from repro.resources.featurize import featurize_corpus, featurize_point
@@ -207,36 +207,70 @@ class TestFaultInjection:
 # ----------------------------------------------------------------------
 # retry / backoff
 # ----------------------------------------------------------------------
+class _Scripted:
+    """A resource whose ``apply`` returns ``script(attempt)`` (or raises
+    what it raises), recording every dial."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def apply(self, point, rng):
+        attempt = len(self.calls)
+        self.calls.append(attempt)
+        return self.script(attempt)
+
+
+def _raise(exc):
+    raise exc
+
+
+_POINT = SimpleNamespace(point_id=0)
+
+
+def _call(resource, retry, deadline_budget=None):
+    """One ``ResiliencePolicy.call``; returns (value, event, health)."""
+    policy = ResiliencePolicy(
+        retry=retry, seed=0, deadline_budget=deadline_budget
+    )
+    value, event = policy.call(
+        resource, _POINT, rng_factory=lambda: spawn(0, "v")
+    )
+    return value, event, policy.health_report().services[resource.name]
+
+
 class TestRetry:
+    """``ResiliencePolicy.call`` is the one retry loop: transient errors
+    are re-dialed with backoff, everything else is not."""
+
     def test_succeeds_after_transient_failures(self):
-        calls = []
+        resource = _Scripted(
+            lambda a: _raise(TransientServiceError("flaky")) if a < 2 else "ok"
+        )
+        value, event, health = _call(resource, RetryConfig(max_attempts=3))
+        assert value == "ok"
+        assert resource.calls == [0, 1, 2]
+        assert (event.outcome, event.retries) == ("recovered", 2)
+        assert health.retries == 2 and health.successes == 1
 
-        def flaky(attempt):
-            calls.append(attempt)
-            if attempt < 2:
-                raise TransientServiceError("flaky")
-            return "ok"
-
-        assert retry_call(flaky, RetryConfig(max_attempts=3), spawn(0, "r")) == "ok"
-        assert calls == [0, 1, 2]
-
-    def test_exhausted_raises_last_error(self):
-        def always(attempt):
-            raise TransientServiceError(f"attempt {attempt}")
-
-        with pytest.raises(TransientServiceError, match="attempt 2"):
-            retry_call(always, RetryConfig(max_attempts=3), spawn(0, "r"))
+    def test_exhausted_degrades_with_last_error(self):
+        resource = _Scripted(
+            lambda a: _raise(TransientServiceError(f"attempt {a}"))
+        )
+        value, event, health = _call(resource, RetryConfig(max_attempts=3))
+        assert value is MISSING
+        assert resource.calls == [0, 1, 2]
+        assert event.error == "attempt 2" and event.retries == 2
+        assert health.fallbacks == 1
 
     def test_non_transient_not_retried(self):
-        calls = []
-
-        def hard(attempt):
-            calls.append(attempt)
-            raise ServiceUnavailableError("down")
-
-        with pytest.raises(ServiceUnavailableError):
-            retry_call(hard, RetryConfig(max_attempts=5), spawn(0, "r"))
-        assert calls == [0]
+        resource = _Scripted(lambda a: _raise(ServiceUnavailableError("down")))
+        value, event, health = _call(resource, RetryConfig(max_attempts=5))
+        assert resource.calls == [0]
+        assert value is MISSING and event.retries == 0
+        assert health.retries == 0
 
     def test_backoff_grows_and_caps(self):
         config = RetryConfig(
@@ -255,21 +289,17 @@ class TestRetry:
             d = backoff_delay(config, 1, spawn(_, "j"))
             assert 0.8 <= d <= 1.2
 
-    def test_on_retry_observes_delays(self):
-        seen = []
-
-        def flaky(attempt):
-            if attempt == 0:
-                raise TransientServiceError("once")
-            return attempt
-
-        retry_call(
-            flaky,
-            RetryConfig(max_attempts=2),
-            spawn(0, "o"),
-            on_retry=lambda attempt, exc, delay: seen.append((attempt, delay)),
+    def test_retries_charge_simulated_delay(self):
+        resource = _Scripted(
+            lambda a: _raise(TransientServiceError("once")) if a == 0 else a
         )
-        assert len(seen) == 1 and seen[0][1] > 0
+        config = RetryConfig(max_attempts=2)
+        value, _, health = _call(resource, config)
+        assert value == 1
+        assert health.simulated_delay == backoff_delay(
+            config, 1, spawn(0, f"backoff/{resource.name}/0")
+        )
+        assert health.simulated_delay > 0
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
@@ -568,74 +598,55 @@ class TestDeadline:
 
 
 class TestDeadlineRetry:
-    """retry_call with a Deadline: backoff is charged against the
-    budget; a backoff that no longer fits degrades via DeadlineExceeded
-    instead of re-dialing."""
+    """``ResiliencePolicy.call`` with a deadline budget: backoff is
+    charged against the budget; a backoff that no longer fits pays the
+    remainder and degrades instead of re-dialing."""
 
     CONFIG = RetryConfig(max_attempts=5, base_delay=0.05, jitter=0.0)
 
     def test_generous_budget_retries_normally(self):
-        calls = []
-
-        def flaky(attempt):
-            calls.append(attempt)
-            if attempt < 2:
-                raise TransientServiceError("flaky")
-            return "ok"
-
-        out = retry_call(
-            flaky, self.CONFIG, spawn(0, "r"), deadline=Deadline(10.0)
+        resource = _Scripted(
+            lambda a: _raise(TransientServiceError("flaky")) if a < 2 else "ok"
         )
-        assert out == "ok" and calls == [0, 1, 2]
+        value, _, health = _call(resource, self.CONFIG, deadline_budget=10.0)
+        assert value == "ok" and resource.calls == [0, 1, 2]
+        assert health.deadline_exceeded == 0
 
-    def test_backoff_that_does_not_fit_raises_deadline_exceeded(self):
-        calls = []
-        observed = []
-
-        def always(attempt):
-            calls.append(attempt)
-            raise TransientServiceError("down")
-
-        with pytest.raises(
-            DeadlineExceeded, match="exceeds remaining deadline budget"
-        ) as excinfo:
-            retry_call(
-                always, self.CONFIG, spawn(0, "r"),
-                on_retry=lambda a, e, d: observed.append((a, d)),
-                deadline=Deadline(0.04),
-            )
+    def test_backoff_that_does_not_fit_degrades_after_one_dial(self):
+        resource = _Scripted(lambda a: _raise(TransientServiceError("down")))
+        value, event, health = _call(
+            resource, self.CONFIG, deadline_budget=0.04
+        )
         # one dial only: the first 0.05s backoff did not fit 0.04s
-        assert calls == [0]
+        assert resource.calls == [0]
+        assert value is MISSING
+        assert "deadline budget" in event.error
         # the call still pays the remaining budget before giving up
-        assert observed == [(1, pytest.approx(0.04))]
-        assert isinstance(excinfo.value.__cause__, TransientServiceError)
+        assert health.simulated_delay == pytest.approx(0.04)
+        assert (health.deadline_exceeded, health.retries) == (1, 0)
 
-    def test_exact_fit_spends_budget_then_stops_before_redial(self):
-        calls = []
-
-        def always(attempt):
-            calls.append(attempt)
-            raise TransientServiceError("down")
-
-        # 0.05 backoff fits a 0.05 budget exactly; the *next* loop trip
-        # finds the budget exhausted and stops without re-dialing
-        with pytest.raises(DeadlineExceeded, match="exhausted before attempt 2"):
-            retry_call(
-                always, self.CONFIG, spawn(0, "r"), deadline=Deadline(0.05)
-            )
-        assert calls == [0]
+    def test_exact_fit_spends_budget_then_degrades_at_next_backoff(self):
+        resource = _Scripted(lambda a: _raise(TransientServiceError("down")))
+        # the 0.05s backoff fits a 0.05s budget exactly and re-dials; the
+        # next 0.1s backoff finds nothing left and degrades
+        value, event, health = _call(
+            resource, self.CONFIG, deadline_budget=0.05
+        )
+        assert resource.calls == [0, 1]
+        assert value is MISSING and event.retries == 1
+        assert health.simulated_delay == pytest.approx(0.05)
+        assert health.deadline_exceeded == 1
 
     def test_deadline_exceeded_is_not_retryable(self):
         # a ServiceError (degradable via fallback) but deliberately NOT
-        # transient: a second retry loop must not re-dial an exceeded call
+        # transient: the retry loop must not re-dial an exceeded call
         assert issubclass(DeadlineExceeded, ServiceError)
         assert not issubclass(DeadlineExceeded, TransientServiceError)
 
-        def exceeded(attempt):
-            raise DeadlineExceeded("spent")
-
+        resource = _Scripted(lambda a: _raise(DeadlineExceeded("spent")))
         with pytest.raises(DeadlineExceeded):
-            retry_call(exceeded, RetryConfig(max_attempts=3), spawn(0, "r"))
+            _call(resource, RetryConfig(max_attempts=3))
+        assert resource.calls == [0]
 
     def test_policy_degrades_on_deadline_instead_of_raising(
         self, suite, small_corpus

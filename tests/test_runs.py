@@ -12,7 +12,6 @@ from repro.core.atomicio import atomic_write_json, canonical_json, sha256_hex
 from repro.core.exceptions import CheckpointError, IntegrityError
 from repro.runs import (
     ArtifactRef,
-    PartitionCheckpointer,
     ProgressManifest,
     RunCheckpointer,
     RunManifest,
@@ -378,35 +377,20 @@ def test_checkpointer_corrupt_artifact_fails_loudly_on_resume(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# partition checkpointer
+# progress manifest
 # ----------------------------------------------------------------------
-def test_partition_checkpointer_roundtrip(tmp_path):
-    ck = PartitionCheckpointer(tmp_path, job_key="job-a")
-    assert ck.load(0) is None
-    ck.save(0, ({"k": [1, 2]}, {"records_mapped": 2}))
-    ck.save(3, ({"k": [9]}, {"records_mapped": 1}))
-    assert ck.completed() == [0, 3]
+def test_progress_manifest_roundtrip(tmp_path):
+    path = tmp_path / "progress.json"
+    manifest = ProgressManifest(path, job_key="job-a")
+    assert manifest.get(0) is None
+    manifest.save(0, {"rows": "r0"})
+    manifest.save(3, {"rows": "r3"})
+    assert manifest.completed() == [0, 3]
 
-    reopened = PartitionCheckpointer(tmp_path, job_key="job-a")
-    grouped, counts = reopened.load(0)
-    assert grouped == {"k": [1, 2]} and counts["records_mapped"] == 2
-    assert reopened.load(1) is None
-
-
-def test_partition_checkpointer_ignores_other_job_key(tmp_path):
-    PartitionCheckpointer(tmp_path, job_key="job-a").save(0, {"k": [1]})
-    other = PartitionCheckpointer(tmp_path, job_key="job-b")
-    assert other.completed() == []
-
-
-def test_partition_checkpointer_quarantines_corrupt_payload(tmp_path):
-    ck = PartitionCheckpointer(tmp_path, job_key="job-a")
-    ck.save(0, {"k": [1]})
-    ref = ArtifactRef.from_dict(ck.progress.get(0))
-    ck.store._path_for(ref.hash, ref.kind).write_bytes(b"not a pickle")
-    reopened = PartitionCheckpointer(tmp_path, job_key="job-a")
-    with pytest.raises(IntegrityError):
-        reopened.load(0)
+    reopened = ProgressManifest(path, job_key="job-a")
+    assert reopened.get(0) == {"rows": "r0"}
+    assert reopened.get(1) is None
+    assert reopened.completed() == [0, 3]
 
 
 def test_progress_manifest_concurrent_saves_lose_no_entry(tmp_path):

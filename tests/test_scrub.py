@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core.config import CurationConfig, PipelineConfig
+from repro.core.config import CurationConfig, PipelineConfig, TrainingConfig
 from repro.core.exceptions import ConfigurationError, RepairError
 from repro.core.pipeline import CrossModalPipeline
 from repro.experiments.scrub import rebuild_end_to_end, run_scrub
@@ -141,6 +141,29 @@ def test_scrub_repair_of_unrecognized_recorded_config_fails_typed(tmp_path):
     entry = next(e for e in report.entries if e.stage == "curate")
     assert entry.status == "unrepaired"
     assert "annoy" in entry.detail
+
+
+def test_scrub_repair_of_a_run_recording_tuner_knobs_fails_typed(tmp_path):
+    """A run recorded before ``TrainingConfig`` lost its inert ``tune``
+    and ``n_tuning_trials`` fields cannot be rebuilt: ``scrub --repair``
+    reports its damaged model unrepaired through :class:`RepairError`
+    instead of raising ``TypeError``."""
+    ck = RunCheckpointer(
+        tmp_path,
+        context={"experiment": "end_to_end", "task": "CT1", "scale": 0.05, "seed": 7},
+    )
+    recorded = {**asdict(TrainingConfig()), "tune": False, "n_tuning_trials": 8}
+    train = ck.stage("train", config={"training": recorded}, **_stage_args(41))
+
+    with pytest.raises(RepairError, match="tune"):
+        rebuild_end_to_end(RunManifest.load(tmp_path))
+
+    _path_of(ck, train).unlink()
+    report = run_scrub(tmp_path, repair=True, out_dir=str(tmp_path))
+    assert not report.healthy
+    entry = next(e for e in report.entries if e.stage == "train")
+    assert entry.status == "unrepaired"
+    assert "tune" in entry.detail
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.shards.codec import (
     decode_table_shard,
     encode_dense,
     encode_table_shard,
-    mmap_dense,
 )
 from repro.shards.table import ShardedTable, ShardedTableWriter
 
@@ -294,40 +293,6 @@ def test_writer_validates_shard_shape(tmp_path):
         writer.add_shard(0, table.select_rows([0, 1, 2]))  # wrong row count
     with pytest.raises(CheckpointError):
         writer.finish()  # incomplete cover
-
-
-def test_mmap_dense_reads_without_payload_load(tmp_path):
-    store = _store(tmp_path)
-    table = _table(
-        [(float(i), frozenset(), np.array([float(i), -float(i)])) for i in range(9)]
-    )
-    sharded = ShardedTableWriter.write_table(store, table, shard_size=4)
-    view = sharded.mmap_shard_dense(1)
-    assert view is not None
-    assert view.values["score"][0] == 4.0
-    assert view.values["emb"][2][1] == -6.0
-    assert bool(view.presence["score"].all())
-
-
-def test_mmap_path_matches_decode(tmp_path):
-    table = _table(
-        [
-            (float("nan"), frozenset(), np.array([0.5, -0.0])),
-            (MISSING, frozenset(), MISSING),
-        ]
-    )
-    _rows_doc, dense = encode_table_shard(table)
-    path = tmp_path / "shard.bin"
-    path.write_bytes(dense)
-    mapped = mmap_dense(path)
-    decoded = decode_dense(dense)
-    for name in decoded.values:
-        assert np.asarray(mapped.values[name]).tobytes() == np.asarray(
-            decoded.values[name]
-        ).tobytes()
-        assert np.asarray(mapped.presence[name]).tobytes() == np.asarray(
-            decoded.presence[name]
-        ).tobytes()
 
 
 def test_manifest_version_gate(tmp_path):
