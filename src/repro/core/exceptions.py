@@ -54,20 +54,8 @@ class TransientServiceError(ServiceError):
     """A retryable failure: the same call may succeed if repeated."""
 
 
-class ServiceTimeoutError(TransientServiceError):
-    """The simulated call latency exceeded the caller's budget."""
-
-
-class RateLimitError(TransientServiceError):
-    """The service shed load (quota/QPS exceeded); retry after backoff."""
-
-
 class ServiceUnavailableError(ServiceError):
     """A non-retryable failure: the service is down for this call."""
-
-
-class CircuitOpenError(ServiceUnavailableError):
-    """A circuit breaker short-circuited the call without dialing out."""
 
 
 class DeadlineExceeded(ServiceError):

@@ -66,7 +66,7 @@ from repro.propagation.propagate import LabelPropagation
 from repro.propagation.streaming import StreamingLabelPropagation
 from repro.resources.catalog import ResourceCatalog
 from repro.resources.featurize import featurize_corpus
-from repro.resources.service_sets import IMAGE_SET
+from repro.resources.service_sets import model_feature_schema
 from repro.runs import codecs
 from repro.runs.progress import ProgressManifest, job_key
 from repro.runs.store import RunStore
@@ -223,11 +223,11 @@ class CrossModalPipeline:
 
     def model_feature_schema(self, modality: Modality) -> FeatureSchema:
         """Servable features the deployed model may consume."""
-        sets = list(self.config.model_service_sets)
-        if self.config.include_image_features and modality is not Modality.TEXT:
-            sets.append(IMAGE_SET)
-        return self.schema.select(
-            service_sets=sets, servable_only=True, modality=modality
+        return model_feature_schema(
+            self.schema,
+            self.config.model_service_sets,
+            self.config.include_image_features,
+            modality,
         )
 
     def select_model_features(

@@ -27,7 +27,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +36,7 @@ import repro
 from repro.core.exceptions import CheckpointError
 from repro.core.rng import derive_seed
 from repro.runs.crash import CRASH_AT_ENV, CRASH_EXIT_CODE
+from repro.runs.store import run_directory
 from repro.experiments.common import ExperimentContext
 from repro.experiments.reporting import no_cliff, render_bars, render_table
 from repro.obs.bench import BenchArtifact, bench_dir
@@ -74,9 +74,7 @@ class ChaosResult:
     scale: float
     seed: int
     health_renders: list[str] = field(default_factory=list)
-    #: resilience control-plane counters per availability level
-    breaker_trips: list[int] = field(default_factory=list)
-    short_circuits: list[int] = field(default_factory=list)
+    #: deadline exhaustions per availability level
     deadline_exceeded: list[int] = field(default_factory=list)
 
     def gates(self) -> dict[str, bool]:
@@ -93,12 +91,11 @@ class ChaosResult:
                     f"{self.missing_fractions[i]:.1%}",
                     self.retries[i],
                     self.fallbacks[i],
-                    self.breaker_trips[i] if i < len(self.breaker_trips) else 0,
                 ]
             )
         table = render_table(
             ["Availability", "AUPRC", "degraded", "missing", "retries",
-             "fallbacks", "trips"],
+             "fallbacks"],
             rows,
             title=(
                 f"Chaos sweep — CT1 end-task AUPRC vs service availability "
@@ -145,9 +142,9 @@ def run_chaos(
     the fault-free tables bit-for-bit.
 
     Writes ``BENCH_chaos.json`` — per-level quality plus the resilience
-    control-plane counters (retries, fallbacks, breaker trips, short
-    circuits, deadline exhaustions) — into ``$REPRO_BENCH_DIR``, else
-    ``out_dir``, else nowhere (:func:`repro.obs.bench.bench_dir`).
+    control-plane counters (retries, fallbacks, deadline exhaustions) —
+    into ``$REPRO_BENCH_DIR``, else ``out_dir``, else nowhere
+    (:func:`repro.obs.bench.bench_dir`).
     """
     if ctx is None:
         ctx = ExperimentContext(task_name="CT1", scale=scale, seed=seed)
@@ -161,8 +158,6 @@ def run_chaos(
     retries: list[int] = []
     fallbacks: list[int] = []
     health_renders: list[str] = []
-    breaker_trips: list[int] = []
-    short_circuits: list[int] = []
     deadline_exceeded: list[int] = []
 
     for availability in availabilities:
@@ -207,8 +202,6 @@ def run_chaos(
         fallbacks.append(sum(r.n_fallbacks for r in reports))
         health = policy.health_report()
         health_renders.append(health.render())
-        breaker_trips.append(health.total_trips)
-        short_circuits.append(health.total_short_circuits)
         deadline_exceeded.append(health.total_deadline_exceeded)
 
     result = ChaosResult(
@@ -221,8 +214,6 @@ def run_chaos(
         scale=ctx.scale,
         seed=seed,
         health_renders=health_renders,
-        breaker_trips=breaker_trips,
-        short_circuits=short_circuits,
         deadline_exceeded=deadline_exceeded,
     )
     directory = bench_dir(out_dir)
@@ -235,8 +226,6 @@ def run_chaos(
             missing_fractions=[round(f, 4) for f in result.missing_fractions],
             retries=result.retries,
             fallbacks=result.fallbacks,
-            breaker_trips=result.breaker_trips,
-            short_circuits=result.short_circuits,
             deadline_exceeded=result.deadline_exceeded,
             graceful=result.gates()["graceful"],
         )
@@ -278,7 +267,8 @@ class CrashResumeResult:
     kills: list[KillPoint]
     corruption_detected: bool
     quarantined_files: int
-    run_dir: str
+    #: where the runs were kept (None: a removed temporary directory)
+    run_dir: str | None
 
     def gates(self) -> dict[str, bool]:
         return {
@@ -363,84 +353,84 @@ def run_crash_resume(
     rather than silently recompute.
 
     ``keep_dir`` preserves the run directories (the CI smoke job
-    uploads the baseline manifest from there); by default a temp dir is
-    used and cleaned up by the OS.
+    uploads the baseline manifest from there); by default they go to a
+    temporary directory that is removed on return.
     """
-    root = Path(keep_dir) if keep_dir else Path(tempfile.mkdtemp(prefix="crash-resume-"))
-    root.mkdir(parents=True, exist_ok=True)
+    with run_directory(keep_dir or None, "crash-resume-") as root:
+        root.mkdir(parents=True, exist_ok=True)
 
-    baseline_dir = root / "baseline"
-    proc = subprocess.run(
-        _end_to_end_argv(task, scale, seed, baseline_dir, resume=False),
-        env=_subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    if proc.returncode != 0:
-        raise CheckpointError(
-            f"baseline run failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}"
-        )
-    baseline = json.loads((baseline_dir / "result.json").read_text(encoding="utf-8"))
-
-    kills: list[KillPoint] = []
-    for boundary in boundaries:
-        run_dir = root / boundary.replace(":", "-")
-        crashed = subprocess.run(
-            _end_to_end_argv(task, scale, seed, run_dir, resume=False),
-            env=_subprocess_env(crash_at=boundary),
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-        resumed = subprocess.run(
-            _end_to_end_argv(task, scale, seed, run_dir, resume=True),
+        baseline_dir = root / "baseline"
+        proc = subprocess.run(
+            _end_to_end_argv(task, scale, seed, baseline_dir, resume=False),
             env=_subprocess_env(),
             capture_output=True,
             text=True,
             timeout=timeout,
         )
-        if resumed.returncode != 0:
+        if proc.returncode != 0:
             raise CheckpointError(
-                f"resume after kill at {boundary!r} failed "
-                f"(exit {resumed.returncode}):\n{resumed.stderr[-2000:]}"
+                f"baseline run failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}"
             )
-        result = json.loads((run_dir / "result.json").read_text(encoding="utf-8"))
-        kills.append(
-            KillPoint(
-                boundary=boundary,
-                crash_exit=crashed.returncode,
-                resumed_stages=list(result["resumed_stages"]),
-                metrics_match=result["metrics"] == baseline["metrics"],
+        baseline = json.loads((baseline_dir / "result.json").read_text(encoding="utf-8"))
+
+        kills: list[KillPoint] = []
+        for boundary in boundaries:
+            run_dir = root / boundary.replace(":", "-")
+            crashed = subprocess.run(
+                _end_to_end_argv(task, scale, seed, run_dir, resume=False),
+                env=_subprocess_env(crash_at=boundary),
+                capture_output=True,
+                text=True,
+                timeout=timeout,
             )
+            resumed = subprocess.run(
+                _end_to_end_argv(task, scale, seed, run_dir, resume=True),
+                env=_subprocess_env(),
+                capture_output=True,
+                text=True,
+                timeout=timeout,
+            )
+            if resumed.returncode != 0:
+                raise CheckpointError(
+                    f"resume after kill at {boundary!r} failed "
+                    f"(exit {resumed.returncode}):\n{resumed.stderr[-2000:]}"
+                )
+            result = json.loads((run_dir / "result.json").read_text(encoding="utf-8"))
+            kills.append(
+                KillPoint(
+                    boundary=boundary,
+                    crash_exit=crashed.returncode,
+                    resumed_stages=list(result["resumed_stages"]),
+                    metrics_match=result["metrics"] == baseline["metrics"],
+                )
+            )
+
+        # corruption probe: flip bytes in one baseline artifact, then resume
+        artifacts = sorted((baseline_dir / "artifacts").iterdir())
+        victim = artifacts[0]
+        victim.write_bytes(b"corrupted" + victim.read_bytes()[9:])
+        corrupted = subprocess.run(
+            _end_to_end_argv(task, scale, seed, baseline_dir, resume=True),
+            env=_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+        quarantine = baseline_dir / "quarantine"
+        quarantined = len(list(quarantine.iterdir())) if quarantine.exists() else 0
+        corruption_detected = (
+            corrupted.returncode != 0
+            and "IntegrityError" in corrupted.stderr
+            and quarantined > 0
         )
 
-    # corruption probe: flip bytes in one baseline artifact, then resume
-    artifacts = sorted((baseline_dir / "artifacts").iterdir())
-    victim = artifacts[0]
-    victim.write_bytes(b"corrupted" + victim.read_bytes()[9:])
-    corrupted = subprocess.run(
-        _end_to_end_argv(task, scale, seed, baseline_dir, resume=True),
-        env=_subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    quarantine = baseline_dir / "quarantine"
-    quarantined = len(list(quarantine.iterdir())) if quarantine.exists() else 0
-    corruption_detected = (
-        corrupted.returncode != 0
-        and "IntegrityError" in corrupted.stderr
-        and quarantined > 0
-    )
-
-    return CrashResumeResult(
-        task=task,
-        scale=scale,
-        seed=seed,
-        baseline_metrics=baseline["metrics"],
-        kills=kills,
-        corruption_detected=corruption_detected,
-        quarantined_files=quarantined,
-        run_dir=str(root),
-    )
+        return CrashResumeResult(
+            task=task,
+            scale=scale,
+            seed=seed,
+            baseline_metrics=baseline["metrics"],
+            kills=kills,
+            corruption_detected=corruption_detected,
+            quarantined_files=quarantined,
+            run_dir=keep_dir or None,
+        )

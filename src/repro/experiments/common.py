@@ -29,7 +29,7 @@ from repro.models.fusion import EarlyFusion
 from repro.models.metrics import auprc
 from repro.models.mlp import MLPClassifier
 from repro.resources.catalog import ResourceCatalog
-from repro.resources.service_sets import build_resource_suite
+from repro.resources.service_sets import build_resource_suite, model_feature_schema
 
 __all__ = [
     "ExperimentContext",
@@ -202,13 +202,9 @@ def modality_feature_names(
     include_image_features: bool = True,
 ) -> list[str]:
     """Servable model-feature names for one modality and service sets."""
-    sets = list(service_sets)
-    if include_image_features and modality is not Modality.TEXT:
-        sets.append("IMG")
-    schema = ctx.pipeline.schema.select(
-        service_sets=sets, servable_only=True, modality=modality
-    )
-    return schema.names
+    return model_feature_schema(
+        ctx.pipeline.schema, service_sets, include_image_features, modality
+    ).names
 
 
 def fusion_auprc(

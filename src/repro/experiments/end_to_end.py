@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import PipelineConfig
+from repro.core.pipeline import PipelineResult
 from repro.experiments.common import (
     ExperimentContext,
     find_crossover,
@@ -41,6 +42,7 @@ __all__ = [
     "run_table2",
     "run_figure5",
     "run_end_to_end",
+    "run_pipeline",
     "PAPER_TABLE2",
     "default_budgets",
 ]
@@ -240,7 +242,7 @@ class EndToEndRun:
         return "\n".join(lines)
 
 
-def run_end_to_end(
+def run_pipeline(
     task: str = "CT1",
     scale: float = 0.4,
     seed: int = 1,
@@ -250,7 +252,7 @@ def run_end_to_end(
     graph_backend: str | None = None,
     auto_repair: bool = False,
     shard_size: int | None = None,
-) -> EndToEndRun:
+) -> tuple[EndToEndRun, PipelineResult]:
     """Run the full pipeline (featurize -> curate -> train -> evaluate)
     once on one task.
 
@@ -289,6 +291,11 @@ def run_end_to_end(
     computed one shard at a time.  Values and downstream results are
     bit-identical to an unsharded run.  Requires ``run_dir`` — the
     shards live in the run's artifact store.
+
+    Writes no ``BENCH_end_to_end.json``: experiments that run the
+    pipeline as one of their steps (``serve``, ``storagechaos``) call
+    this, and only :func:`run_end_to_end` records the benchmark.
+    Returns the headline numbers and the full pipeline result.
     """
     from pathlib import Path
 
@@ -348,6 +355,28 @@ def run_end_to_end(
             },
             indent=2,
         )
+    return run, result
+
+
+def run_end_to_end(
+    task: str = "CT1",
+    scale: float = 0.4,
+    seed: int = 1,
+    run_dir: str | None = None,
+    resume: bool = False,
+    executor: "ExecutorConfig | None" = None,
+    graph_backend: str | None = None,
+    auto_repair: bool = False,
+    shard_size: int | None = None,
+) -> EndToEndRun:
+    """The ``end_to_end`` experiment: :func:`run_pipeline` once, then
+    ``BENCH_end_to_end.json`` into ``$REPRO_BENCH_DIR``, else
+    ``run_dir``, else nowhere (:func:`repro.obs.bench.bench_dir`)."""
+    run, result = run_pipeline(
+        task=task, scale=scale, seed=seed, run_dir=run_dir, resume=resume,
+        executor=executor, graph_backend=graph_backend,
+        auto_repair=auto_repair, shard_size=shard_size,
+    )
     directory = bench_dir(run_dir)
     if directory:
         # degradation counters come from the featurized tables when a
@@ -358,12 +387,6 @@ def run_end_to_end(
             for t in result.tables.values()
             if t.degradation is not None
         ]
-        counters: dict[str, int] = {
-            "breaker_trips": 0, "short_circuits": 0, "deadline_exceeded": 0,
-        }
-        for report in reports:
-            for key in counters:
-                counters[key] = max(counters[key], report.counters.get(key, 0))
         artifact = BenchArtifact("end_to_end", scale=scale, seed=seed)
         for stage, seconds in run.timings.items():
             artifact.time(stage, seconds)
@@ -378,7 +401,10 @@ def run_end_to_end(
             fallbacks=sum(r.n_fallbacks for r in reports),
             shed_items=0,
             dedup_hits=0,
-            **counters,
+            deadline_exceeded=max(
+                (r.counters.get("deadline_exceeded", 0) for r in reports),
+                default=0,
+            ),
         )
         artifact.write(directory)
     return run

@@ -33,7 +33,6 @@ but not gated.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -313,9 +312,6 @@ def run_multitenant(
                     "task": ctx.task_name,
                     "scale": ctx.scale,
                 },
-                run_root=tempfile.mkdtemp(
-                    prefix=f"mt-{n_tenants}x{rate_limit:g}-"
-                ),
             )
             report = orchestrator.run(specs)
             cell = _summarize_cell(report, specs, rate_limit)

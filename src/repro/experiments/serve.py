@@ -31,9 +31,7 @@ every availability).
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core.rng import derive_seed
 from repro.datagen.entities import DataPoint
@@ -41,6 +39,7 @@ from repro.experiments.reporting import no_cliff, render_table
 from repro.obs.bench import BenchArtifact, bench_dir
 from repro.resilience import FaultInjector, FaultSpec
 from repro.runs.manifest import RunManifest
+from repro.runs.store import run_directory
 from repro.serving import (
     Decision,
     ModelServer,
@@ -183,31 +182,28 @@ def run_serve(
     ``run_dir`` reuses an existing checkpointed end-to-end run when its
     manifest is already complete (the batch stages are by far the
     expensive part); otherwise the run is computed there first.  With
-    no ``run_dir`` a temporary directory is used.  ``BENCH_serving.json``
+    no ``run_dir`` the run goes to a temporary directory, removed once
+    its artifacts are loaded into memory.  ``BENCH_serving.json``
     goes to ``$REPRO_BENCH_DIR``, else ``run_dir``, else nowhere
     (:func:`repro.obs.bench.bench_dir`).
     """
-    from repro.experiments.end_to_end import build_pipeline_for_run, run_end_to_end
+    from repro.experiments.end_to_end import build_pipeline_for_run, run_pipeline
 
-    directory = Path(
-        run_dir
-        if run_dir is not None
-        else tempfile.mkdtemp(prefix="serve-run-")
-    )
-    needs_run = not RunManifest.exists(directory)
-    if not needs_run:
-        manifest = RunManifest.load(directory)
-        needs_run = any(
-            manifest.stages.get(s) is None
-            or manifest.stages[s].status != "complete"
-            for s in ("featurize", "train")
-        )
-    if needs_run:
-        run_end_to_end(
-            task="CT1", scale=scale, seed=seed,
-            run_dir=str(directory), resume=RunManifest.exists(directory),
-        )
-    artifacts = ServingArtifacts.load(directory)
+    with run_directory(run_dir, "serve-run-") as directory:
+        needs_run = not RunManifest.exists(directory)
+        if not needs_run:
+            manifest = RunManifest.load(directory)
+            needs_run = any(
+                manifest.stages.get(s) is None
+                or manifest.stages[s].status != "complete"
+                for s in ("featurize", "train")
+            )
+        if needs_run:
+            run_pipeline(
+                task="CT1", scale=scale, seed=seed,
+                run_dir=str(directory), resume=RunManifest.exists(directory),
+            )
+        artifacts = ServingArtifacts.load(directory)
 
     # the live catalog, rebuilt exactly as the batch run built it
     pipeline, splits = build_pipeline_for_run("CT1", scale, seed)

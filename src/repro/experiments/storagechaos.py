@@ -28,7 +28,6 @@ the sweep.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -36,11 +35,18 @@ from pathlib import Path
 
 import repro.obs as obs
 from repro.core.exceptions import CheckpointError
-from repro.experiments.end_to_end import run_end_to_end
+from repro.experiments.end_to_end import run_pipeline
 from repro.experiments.reporting import render_table
 from repro.experiments.scrub import make_repair_engine
 from repro.obs.bench import BenchArtifact, bench_dir
-from repro.runs import FAULT_TYPES, FaultFSConfig, RunManifest, inject_faults, scrub_run
+from repro.runs import (
+    FAULT_TYPES,
+    FaultFSConfig,
+    RunManifest,
+    inject_faults,
+    run_directory,
+    scrub_run,
+)
 
 __all__ = [
     "ChaosCell",
@@ -153,113 +159,115 @@ def run_storagechaos(
     fault_types = tuple(fault_types) if fault_types else FAULT_TYPES
     fault_rates = tuple(fault_rates) if fault_rates else DEFAULT_FAULT_RATES
     t0 = time.perf_counter()
-    root = Path(out_dir) if out_dir else Path(tempfile.mkdtemp(prefix="storagechaos_"))
-    root.mkdir(parents=True, exist_ok=True)
+    # a given out_dir keeps every cell's run; a scratch root goes once
+    # the cells are judged
+    with run_directory(out_dir or None, "storagechaos_") as root:
+        root.mkdir(parents=True, exist_ok=True)
 
-    with obs.span("experiments.storagechaos.reference"):
-        ref_dir = root / "reference"
-        reference = run_end_to_end(task=task, scale=scale, seed=seed,
-                                   run_dir=str(ref_dir))
-    ref_hashes = _manifest_hashes(ref_dir)
+        with obs.span("experiments.storagechaos.reference"):
+            ref_dir = root / "reference"
+            reference, _ = run_pipeline(task=task, scale=scale, seed=seed,
+                                        run_dir=str(ref_dir))
+        ref_hashes = _manifest_hashes(ref_dir)
 
-    cells: list[ChaosCell] = []
-    for index, (fault, rate) in enumerate(product(fault_types, fault_rates)):
-        cell_dir = root / f"cell_{index:02d}_{fault}_{rate:g}"
-        config = FaultFSConfig.single(
-            fault,
-            rate,
-            seed=seed * 1000 + index,
-            # scope injection to this cell's artifact store: the
-            # manifest, result.json, and BENCH files stay undamaged so
-            # the experiment measures artifact self-healing, not
-            # manifest loss
-            path_substring=str(cell_dir / "artifacts"),
-        )
-
-        # phase 1: the faulty run
-        with obs.span("experiments.storagechaos.cell", fault=fault, rate=rate):
-            with inject_faults(config) as fs:
-                metrics = None
-                try:
-                    run = run_end_to_end(task=task, scale=scale, seed=seed,
-                                         run_dir=str(cell_dir))
-                    outcome, error = "completed", ""
-                    metrics = dict(run.metrics)
-                except CheckpointError as exc:
-                    outcome, error = "typed_failure", type(exc).__name__
-                except Exception as exc:  # noqa: BLE001 - the gate itself
-                    outcome, error = "untyped_failure", type(exc).__name__
-            faults_injected = len(fs.events)
-
-            # phase 2: audit (faults are no longer injected)
-            audit = scrub_run(cell_dir)
-            damage_found = sum(
-                count
-                for status, count in audit.counts.items()
-                if status in ("corrupt", "missing")
+        cells: list[ChaosCell] = []
+        for index, (fault, rate) in enumerate(product(fault_types, fault_rates)):
+            cell_dir = root / f"cell_{index:02d}_{fault}_{rate:g}"
+            config = FaultFSConfig.single(
+                fault,
+                rate,
+                seed=seed * 1000 + index,
+                # scope injection to this cell's artifact store: the
+                # manifest, result.json, and BENCH files stay undamaged so
+                # the experiment measures artifact self-healing, not
+                # manifest loss
+                path_substring=str(cell_dir / "artifacts"),
             )
 
-            # phase 3: heal — alternate the two repair paths
-            repaired = 0
-            healed = True
-            if index % 2 == 0 and any(
-                e.status in ("corrupt", "missing") for e in audit.entries
-            ):
-                heal_path = "scrub --repair + resume"
-                try:
-                    engine = make_repair_engine(cell_dir)
-                    repair_report = scrub_run(cell_dir, engine=engine, repair=True)
-                    repaired = repair_report.repaired
-                    healed = repair_report.healthy
-                except CheckpointError:
-                    healed = False
-            else:
-                heal_path = "resume --auto-repair"
-            metrics_after = None
-            if healed:
-                try:
-                    resumed = run_end_to_end(
-                        task=task, scale=scale, seed=seed,
-                        run_dir=str(cell_dir), resume=True, auto_repair=True,
-                    )
-                    metrics_after = dict(resumed.metrics)
-                    repaired += len(resumed.repaired_stages)
-                except CheckpointError:
-                    healed = False
+            # phase 1: the faulty run
+            with obs.span("experiments.storagechaos.cell", fault=fault, rate=rate):
+                with inject_faults(config) as fs:
+                    metrics = None
+                    try:
+                        run, _ = run_pipeline(task=task, scale=scale, seed=seed,
+                                              run_dir=str(cell_dir))
+                        outcome, error = "completed", ""
+                        metrics = dict(run.metrics)
+                    except CheckpointError as exc:
+                        outcome, error = "typed_failure", type(exc).__name__
+                    except Exception as exc:  # noqa: BLE001 - the gate itself
+                        outcome, error = "untyped_failure", type(exc).__name__
+                faults_injected = len(fs.events)
 
-            # phase 4: verify bit-identical to the fault-free reference
-            healthy_after = hashes_match = metrics_match = serving_loads = False
-            if healed and metrics_after is not None:
-                healthy_after = scrub_run(cell_dir).healthy
-                hashes_match = _manifest_hashes(cell_dir) == ref_hashes
-                metrics_match = metrics_after == reference.metrics and (
-                    metrics is None or metrics == reference.metrics
+                # phase 2: audit (faults are no longer injected)
+                audit = scrub_run(cell_dir)
+                damage_found = sum(
+                    count
+                    for status, count in audit.counts.items()
+                    if status in ("corrupt", "missing")
                 )
-                try:
-                    from repro.serving.artifacts import ServingArtifacts
 
-                    ServingArtifacts.load(cell_dir)
-                    serving_loads = True
-                except Exception:  # noqa: BLE001 - verdict, not control flow
-                    serving_loads = False
+                # phase 3: heal — alternate the two repair paths
+                repaired = 0
+                healed = True
+                if index % 2 == 0 and any(
+                    e.status in ("corrupt", "missing") for e in audit.entries
+                ):
+                    heal_path = "scrub --repair + resume"
+                    try:
+                        engine = make_repair_engine(cell_dir)
+                        repair_report = scrub_run(cell_dir, engine=engine, repair=True)
+                        repaired = repair_report.repaired
+                        healed = repair_report.healthy
+                    except CheckpointError:
+                        healed = False
+                else:
+                    heal_path = "resume --auto-repair"
+                metrics_after = None
+                if healed:
+                    try:
+                        resumed, _ = run_pipeline(
+                            task=task, scale=scale, seed=seed,
+                            run_dir=str(cell_dir), resume=True, auto_repair=True,
+                        )
+                        metrics_after = dict(resumed.metrics)
+                        repaired += len(resumed.repaired_stages)
+                    except CheckpointError:
+                        healed = False
 
-        cells.append(
-            ChaosCell(
-                fault=fault,
-                rate=rate,
-                outcome=outcome,
-                error=error,
-                faults_injected=faults_injected,
-                damage_found=damage_found,
-                heal_path=heal_path,
-                repaired=repaired,
-                healed=healed,
-                healthy_after=healthy_after,
-                hashes_match=hashes_match,
-                metrics_match=metrics_match,
-                serving_loads=serving_loads,
+                # phase 4: verify bit-identical to the fault-free reference
+                healthy_after = hashes_match = metrics_match = serving_loads = False
+                if healed and metrics_after is not None:
+                    healthy_after = scrub_run(cell_dir).healthy
+                    hashes_match = _manifest_hashes(cell_dir) == ref_hashes
+                    metrics_match = metrics_after == reference.metrics and (
+                        metrics is None or metrics == reference.metrics
+                    )
+                    try:
+                        from repro.serving.artifacts import ServingArtifacts
+
+                        ServingArtifacts.load(cell_dir)
+                        serving_loads = True
+                    except Exception:  # noqa: BLE001 - verdict, not control flow
+                        serving_loads = False
+
+            cells.append(
+                ChaosCell(
+                    fault=fault,
+                    rate=rate,
+                    outcome=outcome,
+                    error=error,
+                    faults_injected=faults_injected,
+                    damage_found=damage_found,
+                    heal_path=heal_path,
+                    repaired=repaired,
+                    healed=healed,
+                    healthy_after=healthy_after,
+                    hashes_match=hashes_match,
+                    metrics_match=metrics_match,
+                    serving_loads=serving_loads,
+                )
             )
-        )
 
     result = StorageChaosResult(
         task=task,

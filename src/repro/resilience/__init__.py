@@ -1,15 +1,19 @@
-"""Resilient service layer: fault injection, retry, breakers, fallback.
+"""Resilient service layer: fault injection, retry, breaker, fallback.
 
 The paper runs feature generation against dozens of organizational
 resources exposed as remote services, where partial failure is routine.
 This subpackage simulates that reality and defends against it:
 
-* :mod:`repro.resilience.faults` — deterministic, seeded fault
-  injection wrapping any resource in a flaky :class:`ServiceClient`;
+* :mod:`repro.resilience.faults` — deterministic, seeded transient
+  fault injection wrapping any resource in a flaky
+  :class:`ServiceClient`;
 * :mod:`repro.resilience.retry` — the exponential-backoff schedule
   with deterministic jitter (simulated delays, no wall-clock sleeps);
-* :mod:`repro.resilience.circuit` — per-service circuit breakers with
-  closed/open/half-open states on a logical clock;
+* :mod:`repro.resilience.circuit` — the closed/open/half-open circuit
+  breaker on a logical clock, run per service by the multi-tenant
+  :class:`~repro.scheduler.governor.ServiceGovernor`;
+* :mod:`repro.resilience.deadline` — the per-call simulated-time
+  budget that caps retry backoff;
 * :mod:`repro.resilience.fallback` — stale-cache -> substitute-service
   -> MISSING degradation chain;
 * :mod:`repro.resilience.policy` — the composable

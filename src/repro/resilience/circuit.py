@@ -10,11 +10,12 @@ failure re-opens it.
 Time is a logical clock: every :meth:`allow` / :meth:`record_success` /
 :meth:`record_failure` advances one tick.  This keeps breaker behaviour
 fully deterministic for a fixed call sequence — no wall-clock — while
-preserving the real state machine.  (Under multi-threaded featurization
-the *call order* itself depends on scheduling, so enabling a breaker
-there trades bit-level reproducibility for overload protection, exactly
-as in production systems; the default policy ships with the breaker
-disabled.)
+preserving the real state machine.
+
+The one breaker that runs is the
+:class:`~repro.scheduler.governor.ServiceGovernor`'s: one per service,
+shared by every tenant, and it only paces dials (an open breaker turns
+a call into waits), so its order-dependent state never reaches a value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import enum
 import threading
 from dataclasses import dataclass
 
-from repro.core.exceptions import CircuitOpenError, ConfigurationError
+from repro.core.exceptions import ConfigurationError
 
 __all__ = ["CircuitState", "CircuitConfig", "CircuitBreaker"]
 
@@ -111,15 +112,6 @@ class CircuitBreaker:
                     return False
                 self._half_open_in_flight += 1
             return True
-
-    def check(self) -> None:
-        """Raise :class:`CircuitOpenError` instead of returning False."""
-        if not self.allow():
-            # read the state via the locked property: the unlocked
-            # self._state could be torn against a concurrent transition
-            raise CircuitOpenError(
-                f"circuit for service {self.name!r} is {self.state.value}"
-            )
 
     def record_success(self) -> None:
         with self._lock:

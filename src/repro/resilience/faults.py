@@ -3,45 +3,29 @@
 The paper's pipeline calls organizational resources as remote services,
 where partial failure is the norm.  This module turns any in-process
 :class:`~repro.resources.base.OrganizationalResource` into a simulated
-RPC :class:`ServiceClient` whose failure behaviour is described by a
-:class:`FaultSpec` and scheduled deterministically: every
-(service, point, attempt) triple derives its own RNG stream via
-:func:`repro.core.rng.spawn`, so a fault schedule is reproducible
-bit-for-bit given a seed — independent of thread scheduling and of which
-other services run.
+RPC :class:`ServiceClient` that fails transiently at the rate a
+:class:`FaultSpec` sets: a failed call raises
+:class:`~repro.core.exceptions.TransientServiceError` (a flaky network,
+a straggler), and a retry of the same call may succeed.
 
-Failure modes:
-
-* **transient** — raises :class:`TransientServiceError` (flaky network,
-  stragglers); a retry of the same call may succeed.
-* **timeout** — a lognormal latency sample exceeds the call budget and
-  raises :class:`ServiceTimeoutError` (also transient).
-* **rate limit** — raises :class:`RateLimitError` (quota shed).
-* **crash-on-point** — specific point ids always raise
-  :class:`ServiceUnavailableError` (a poisoned record that reliably
-  kills the serving job; not retryable).
-* **degraded output** — the call "succeeds" but returns corrupted data
-  (partial categorical sets, zeroed numerics, masked embedding dims).
+The schedule is deterministic: every (service, point, attempt) triple
+derives its own RNG stream via :func:`repro.core.rng.spawn`, whose first
+uniform decides the fault, so a schedule is reproducible bit-for-bit
+given a seed — independent of thread scheduling and of which other
+services run.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.exceptions import (
-    ConfigurationError,
-    RateLimitError,
-    ServiceTimeoutError,
-    ServiceUnavailableError,
-    TransientServiceError,
-)
+from repro.core.exceptions import ConfigurationError, TransientServiceError
 from repro.core.rng import spawn
 from repro.datagen.entities import DataPoint
-from repro.features.schema import FeatureKind
 from repro.resources.base import OrganizationalResource
 
 __all__ = ["FaultSpec", "FaultInjector", "ServiceClient"]
@@ -49,38 +33,21 @@ __all__ = ["FaultSpec", "FaultInjector", "ServiceClient"]
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Failure-mode configuration for one simulated service.
-
-    Rates are per-call probabilities checked independently (transient
-    first, then rate limit, then latency).  ``mean_latency`` and
-    ``latency_sigma`` parameterize a lognormal per-call latency in
-    milliseconds; a call times out when its sample exceeds
-    ``timeout_budget``.
-    """
+    """Fault configuration for one simulated service: the per-call
+    probability ``transient_rate`` that a dial raises
+    :class:`TransientServiceError`."""
 
     transient_rate: float = 0.0
-    rate_limit_rate: float = 0.0
-    mean_latency: float = 0.0
-    latency_sigma: float = 0.5
-    timeout_budget: float = float("inf")
-    degraded_rate: float = 0.0
-    crash_points: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        for name in ("transient_rate", "rate_limit_rate", "degraded_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {rate}")
+        if not 0.0 <= self.transient_rate <= 1.0:
+            raise ConfigurationError(
+                f"transient_rate must be in [0, 1], got {self.transient_rate}"
+            )
 
     @property
     def faultless(self) -> bool:
-        return (
-            self.transient_rate == 0.0
-            and self.rate_limit_rate == 0.0
-            and self.degraded_rate == 0.0
-            and not self.crash_points
-            and (self.mean_latency == 0.0 or self.timeout_budget == float("inf"))
-        )
+        return self.transient_rate == 0.0
 
 
 class ServiceClient(OrganizationalResource):
@@ -98,7 +65,6 @@ class ServiceClient(OrganizationalResource):
         self.inner = inner
         self.fault_spec = fault_spec
         self.seed = seed
-        self.calls = 0
         self.faults_raised = 0
         self._attempts: dict[int, int] = defaultdict(int)
         self._lock = threading.Lock()
@@ -110,16 +76,8 @@ class ServiceClient(OrganizationalResource):
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
-    def reset(self) -> None:
-        """Clear attempt counters so a rerun replays the same schedule."""
-        with self._lock:
-            self._attempts.clear()
-            self.calls = 0
-            self.faults_raised = 0
-
     def _next_attempt(self, point_id: int) -> int:
         with self._lock:
-            self.calls += 1
             attempt = self._attempts[point_id]
             self._attempts[point_id] = attempt + 1
             return attempt
@@ -131,12 +89,6 @@ class ServiceClient(OrganizationalResource):
         attempt = self._next_attempt(point.point_id)
         if spec.faultless:
             return self.inner._compute(point, rng)
-        if point.point_id in spec.crash_points:
-            with self._lock:
-                self.faults_raised += 1
-            raise ServiceUnavailableError(
-                f"service {self.name!r} crashes on point {point.point_id}"
-            )
         fault_rng = spawn(self.seed, f"fault/{self.name}/{point.point_id}/{attempt}")
         if fault_rng.random() < spec.transient_rate:
             with self._lock:
@@ -145,43 +97,7 @@ class ServiceClient(OrganizationalResource):
                 f"service {self.name!r} transient failure "
                 f"(point {point.point_id}, attempt {attempt})"
             )
-        if fault_rng.random() < spec.rate_limit_rate:
-            with self._lock:
-                self.faults_raised += 1
-            raise RateLimitError(
-                f"service {self.name!r} rate-limited "
-                f"(point {point.point_id}, attempt {attempt})"
-            )
-        if spec.mean_latency > 0.0 and spec.timeout_budget != float("inf"):
-            latency = spec.mean_latency * float(
-                np.exp(spec.latency_sigma * fault_rng.standard_normal())
-            )
-            if latency > spec.timeout_budget:
-                with self._lock:
-                    self.faults_raised += 1
-                raise ServiceTimeoutError(
-                    f"service {self.name!r} latency {latency:.1f}ms exceeded "
-                    f"budget {spec.timeout_budget:.1f}ms (point {point.point_id})"
-                )
-        value = self.inner._compute(point, rng)
-        if value is not None and fault_rng.random() < spec.degraded_rate:
-            value = self._degrade(value, fault_rng)
-        return value
-
-    def _degrade(self, value: object, fault_rng: np.random.Generator) -> object:
-        """Corrupt a successful response (partial/low-fidelity output)."""
-        kind = self.spec.kind
-        if kind is FeatureKind.CATEGORICAL:
-            # a degraded backend returns a partial result set
-            kept = [v for v in sorted(value) if fault_rng.random() < 0.5]  # type: ignore[arg-type]
-            return frozenset(kept)
-        if kind is FeatureKind.NUMERIC:
-            # a degraded scorer falls back to a null score
-            return 0.0
-        arr = np.array(value, dtype=float, copy=True)
-        mask = fault_rng.random(arr.shape[0]) < 0.5
-        arr[mask] = 0.0
-        return arr
+        return self.inner._compute(point, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ServiceClient({self.inner!r}, spec={self.fault_spec})"
@@ -220,11 +136,6 @@ class FaultInjector:
         self, resources: list[OrganizationalResource]
     ) -> list[ServiceClient]:
         return [self.wrap(r) for r in resources]
-
-    def reset(self) -> None:
-        """Reset every wrapped client's attempt counters."""
-        for client in self._clients:
-            client.reset()
 
     @property
     def total_faults(self) -> int:

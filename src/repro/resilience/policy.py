@@ -2,18 +2,18 @@
 
 :class:`ResiliencePolicy` is the single entry point the featurization
 layer talks to: it wraps one (resource, point) call with retry +
-exponential backoff (deterministic jitter), an optional per-service
-circuit breaker, and a fallback chain, while recording per-service
-:class:`ServiceHealth` stats and emitting a :class:`DegradationEvent`
-for every call that needed more than one clean dial.
+exponential backoff (deterministic jitter) and a fallback chain, while
+recording per-service :class:`ServiceHealth` stats and emitting a
+:class:`DegradationEvent` for every call that needed more than one
+clean dial.
 
-Determinism: backoff jitter draws from a stream derived per
+Determinism: a policy's results are independent of thread
+interleaving.  Backoff jitter draws from a stream derived per
 (service, point) at the call's first retry, and fault schedules live
-in the wrapped :class:`~repro.resilience.faults.ServiceClient`, so a
-retry+fallback policy produces bit-identical results for any thread
-count.  The circuit breaker is the one knowingly order-dependent
-component (its state is shared across points) and is therefore off by
-default.
+in the wrapped :class:`~repro.resilience.faults.ServiceClient`, keyed
+by (service, point, attempt), so a retry+fallback policy produces
+bit-identical results for any thread count.  An optional shared
+governor paces dials but never changes a value.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.core.exceptions import (
 from repro.core.rng import spawn
 from repro.datagen.entities import DataPoint
 from repro.features.table import MISSING
-from repro.resilience.circuit import CircuitBreaker, CircuitConfig
 from repro.resilience.deadline import Deadline
 from repro.resilience.fallback import FallbackChain
 from repro.resilience.retry import RetryConfig, backoff_delay
@@ -56,8 +55,6 @@ class ServiceHealth:
     successes: int = 0
     failures: int = 0
     retries: int = 0
-    trips: int = 0
-    short_circuits: int = 0
     fallbacks: int = 0
     deadline_exceeded: int = 0
     simulated_delay: float = 0.0
@@ -86,29 +83,20 @@ class HealthReport:
         return sum(h.fallbacks for h in self.services.values())
 
     @property
-    def total_trips(self) -> int:
-        return sum(h.trips for h in self.services.values())
-
-    @property
-    def total_short_circuits(self) -> int:
-        return sum(h.short_circuits for h in self.services.values())
-
-    @property
     def total_deadline_exceeded(self) -> int:
         return sum(h.deadline_exceeded for h in self.services.values())
 
     def render(self) -> str:
         header = (
             f"{'service':<22} {'attempts':>8} {'fail':>6} {'retry':>6} "
-            f"{'trips':>6} {'short':>6} {'fallbk':>6} {'delay(s)':>9}"
+            f"{'fallbk':>6} {'delay(s)':>9}"
         )
         lines = [header, "-" * len(header)]
         for name in sorted(self.services):
             h = self.services[name]
             lines.append(
                 f"{name:<22} {h.attempts:>8} {h.failures:>6} {h.retries:>6} "
-                f"{h.trips:>6} {h.short_circuits:>6} {h.fallbacks:>6} "
-                f"{h.simulated_delay:>9.2f}"
+                f"{h.fallbacks:>6} {h.simulated_delay:>9.2f}"
             )
         return "\n".join(lines)
 
@@ -136,10 +124,9 @@ class DegradationReport:
     """Degradation summary a resilient featurization run hands back.
 
     ``counters`` carries policy-lifetime control-plane totals sampled
-    when the report was built (``breaker_trips``, ``short_circuits``,
-    ``deadline_exceeded``; orchestrated runs add ``shed_items`` and
-    ``dedup_hits``) so degraded *values* and the control decisions that
-    caused them travel together.
+    when the report was built (``deadline_exceeded``) so degraded
+    *values* and the control decisions that caused them travel
+    together.
     """
 
     events: list[DegradationEvent] = field(default_factory=list)
@@ -206,15 +193,12 @@ class DegradationReport:
 
 
 class ResiliencePolicy:
-    """Retry + circuit breaker + fallback around resource service calls.
+    """Retry + fallback around resource service calls.
 
     Parameters
     ----------
     retry:
         Backoff policy (defaults to 3 attempts).
-    circuit:
-        Breaker config, or ``None`` (default) for no breaker — see the
-        module docstring for the determinism trade-off.
     fallback:
         Chain consulted when attempts are exhausted; ``None`` degrades
         straight to :data:`MISSING`.
@@ -237,30 +221,24 @@ class ResiliencePolicy:
     def __init__(
         self,
         retry: RetryConfig | None = None,
-        circuit: CircuitConfig | None = None,
         fallback: FallbackChain | None = None,
         seed: int = 0,
         governor: "ServiceGovernorProtocol | None" = None,
         deadline_budget: float | None = None,
     ) -> None:
         self.retry = retry or RetryConfig()
-        self.circuit = circuit
         self.fallback = fallback
         self.seed = seed
         self.governor = governor
         self.deadline_budget = deadline_budget
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._health: dict[str, ServiceHealth] = {}
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
         # snapshot under the lock so a concurrent call() can't mutate
-        # (or resize) _health/_breakers mid-copy; shallow dict copies
-        # keep the referenced breakers/health pickling via their own
-        # lock-dropping __getstate__
+        # (or resize) _health mid-copy
         with self._lock:
             state = {k: v for k, v in self.__dict__.items() if k != "_lock"}
-            state["_breakers"] = dict(state["_breakers"])
             state["_health"] = dict(state["_health"])
             return state
 
@@ -271,14 +249,6 @@ class ResiliencePolicy:
     # ------------------------------------------------------------------
     # state accessors
     # ------------------------------------------------------------------
-    def breaker(self, service: str) -> CircuitBreaker | None:
-        if self.circuit is None:
-            return None
-        with self._lock:
-            if service not in self._breakers:
-                self._breakers[service] = CircuitBreaker(self.circuit, name=service)
-            return self._breakers[service]
-
     def health(self, service: str) -> ServiceHealth:
         with self._lock:
             if service not in self._health:
@@ -287,26 +257,12 @@ class ResiliencePolicy:
 
     def health_report(self) -> HealthReport:
         with self._lock:
-            services = {
-                name: ServiceHealth(**vars(h)) for name, h in self._health.items()
-            }
-            # iterate _breakers inside the lock too: a concurrent call()
-            # registering a new breaker would resize the dict mid-loop
-            breakers = dict(self._breakers)
-        for name, breaker in breakers.items():
-            if name in services:
-                services[name].trips = breaker.trips
-        return HealthReport(services=services)
-
-    def reset(self) -> None:
-        """Drop all breaker state, health stats, and stale-cache state."""
-        with self._lock:
-            self._breakers.clear()
-            self._health.clear()
-        # outside the policy lock: the cache serializes on its own lock,
-        # and holding both invites lock-order inversions with callers
-        if self.fallback is not None and self.fallback.stale_cache is not None:
-            self.fallback.stale_cache.clear()
+            return HealthReport(
+                services={
+                    name: ServiceHealth(**vars(h))
+                    for name, h in self._health.items()
+                }
+            )
 
     # ------------------------------------------------------------------
     # the guarded call
@@ -329,13 +285,6 @@ class ResiliencePolicy:
         """
         name = resource.name
         health = self.health(name)
-        breaker = self.breaker(name)
-        if breaker is not None and not breaker.allow():
-            with self._lock:
-                health.short_circuits += 1
-            return self._degrade(
-                name, point, seed, health, retries=0, error="circuit open"
-            )
 
         # derived at the first retry: a clean first dial never draws
         # jitter, and a retried call consumes the stream in the same
@@ -362,8 +311,6 @@ class ResiliencePolicy:
                 last_error = exc
                 with self._lock:
                     health.failures += 1
-                if breaker is not None:
-                    breaker.record_failure()
                 if self.governor is not None:
                     self.governor.on_failure(name)
                 if attempt + 1 < self.retry.max_attempts:
@@ -399,8 +346,6 @@ class ResiliencePolicy:
                 last_error = exc
                 with self._lock:
                     health.failures += 1
-                if breaker is not None:
-                    breaker.record_failure()
                 if self.governor is not None:
                     self.governor.on_failure(name)
                 break
@@ -408,8 +353,6 @@ class ResiliencePolicy:
                 with self._lock:
                     health.successes += 1
                     health.simulated_delay += delay
-                if breaker is not None:
-                    breaker.record_success()
                 if self.governor is not None:
                     self.governor.on_success(name)
                 if self.fallback is not None and self.fallback.stale_cache is not None:

@@ -266,8 +266,6 @@ def featurize_corpus(
                     events=events,
                     n_cells=len(corpus.points) * len(resources),
                     counters={
-                        "breaker_trips": health.total_trips,
-                        "short_circuits": health.total_short_circuits,
                         "deadline_exceeded": health.total_deadline_exceeded,
                     },
                 )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.datagen.entities import Modality
 from repro.datagen.world import TaskRuntime, World
-from repro.features.schema import FeatureKind, FeatureSpec
+from repro.features.schema import FeatureKind, FeatureSchema, FeatureSpec
 from repro.resources.aggregates import (
     AggregateStore,
     KeywordRiskService,
@@ -55,7 +55,12 @@ from repro.resources.model_services import (
     UrlCategoryService,
 )
 
-__all__ = ["SERVICE_SETS", "IMAGE_SET", "build_resource_suite"]
+__all__ = [
+    "SERVICE_SETS",
+    "IMAGE_SET",
+    "build_resource_suite",
+    "model_feature_schema",
+]
 
 #: the paper's four evaluated service sets, in cumulative order
 SERVICE_SETS: tuple[str, ...] = ("A", "B", "C", "D")
@@ -64,6 +69,25 @@ SERVICE_SETS: tuple[str, ...] = ("A", "B", "C", "D")
 IMAGE_SET = "IMG"
 
 _VISUAL = frozenset({Modality.IMAGE, Modality.VIDEO})
+
+
+def model_feature_schema(
+    schema: FeatureSchema,
+    service_sets: tuple[str, ...],
+    include_image_features: bool,
+    modality: Modality,
+) -> FeatureSchema:
+    """The features a deployed model reads for ``modality``: the
+    servable features of ``service_sets``, plus the image-specific set
+    for every non-text modality when ``include_image_features``.
+
+    The one rule both the batch pipeline's training tables and the
+    online server's request rows select by, so a served row carries
+    exactly the columns the model was fitted on."""
+    sets = list(service_sets)
+    if include_image_features and modality is not Modality.TEXT:
+        sets.append(IMAGE_SET)
+    return schema.select(service_sets=sets, servable_only=True, modality=modality)
 
 
 def _cat(name: str, service_set: str, servable: bool = True, description: str = "") -> FeatureSpec:

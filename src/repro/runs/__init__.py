@@ -51,7 +51,13 @@ from repro.runs.manifest import MANIFEST_VERSION, RunManifest, StageRecord, stag
 from repro.runs.progress import ProgressManifest, job_key
 from repro.runs.repair import RepairAction, RepairEngine, verify_and_restore
 from repro.runs.scrub import ScrubEntry, ScrubReport, scrub_run
-from repro.runs.store import ARTIFACT_FORMAT_VERSION, ArtifactRef, RunStore, encode_envelope
+from repro.runs.store import (
+    ARTIFACT_FORMAT_VERSION,
+    ArtifactRef,
+    RunStore,
+    encode_envelope,
+    run_directory,
+)
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
@@ -79,6 +85,7 @@ __all__ = [
     "encode_envelope",
     "inject_faults",
     "job_key",
+    "run_directory",
     "scrub_run",
     "stage_fingerprint",
     "verify_and_restore",

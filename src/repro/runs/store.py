@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +37,23 @@ __all__ = [
     "RunStore",
     "ARTIFACT_FORMAT_VERSION",
     "encode_envelope",
+    "run_directory",
 ]
 
 #: bump when the artifact envelope layout changes incompatibly
 ARTIFACT_FORMAT_VERSION = 1
+
+
+@contextmanager
+def run_directory(given: str | Path | None, prefix: str) -> Iterator[Path]:
+    """The directory a run writes into: ``given`` when the caller passed
+    one (it is the caller's, and stays), else a fresh temporary
+    directory that is removed when the block exits."""
+    if given is not None:
+        yield Path(given)
+        return
+    with tempfile.TemporaryDirectory(prefix=prefix) as scratch:
+        yield Path(scratch)
 
 
 def encode_envelope(kind: str, payload: object) -> bytes:

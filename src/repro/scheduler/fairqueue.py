@@ -12,11 +12,10 @@ normal :class:`repro.exec.Executor`, so the whole pipeline stack
 (featurize, LF application, graph build) runs its parallel stages
 through the shared fair queue without knowing it.
 
-Backpressure and shedding: a full tenant queue either blocks the
-submitter (``shed_overflow=False``) or *sheds* the item — runs it
-inline on the submitting tenant's thread (``shed_overflow=True``, the
-default).  Inline execution produces the identical value (tasks are
-pure functions of their arguments), so item-level shedding is
+Backpressure by shedding: a full tenant queue never blocks the
+submitter; it *sheds* the item — runs it inline on the submitting
+tenant's thread.  Inline execution produces the identical value (tasks
+are pure functions of their arguments), so item-level shedding is
 output-neutral load control: it costs the tenant its own cycles instead
 of a queue slot, and is counted per tenant.
 
@@ -45,14 +44,12 @@ class FairQueueConfig:
     """Scheduler sizing.
 
     ``workers`` — shared worker threads executing stage work;
-    ``max_queue`` — per-tenant bounded queue length;
-    ``shed_overflow`` — on a full queue, run the item inline on the
-    submitter (True) or block until a slot frees (False).
+    ``max_queue`` — per-tenant bounded queue length; an item submitted
+    to a full queue runs inline on the submitter instead.
     """
 
     workers: int = 2
     max_queue: int = 512
-    shed_overflow: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -166,18 +163,12 @@ class FairScheduler:
     def submit(self, tenant: str, fn: Callable[[Any], Any], arg: Any) -> _WorkItem:
         """Enqueue one work item on ``tenant``'s lane.
 
-        A full lane either sheds (runs the item inline, on the calling
-        thread, before returning) or blocks until a slot frees.
+        A full lane sheds: the item runs inline, on the calling thread,
+        before this returns.
         """
         item = _WorkItem(fn, arg)
         with self._cond:
             lane = self._lane(tenant)
-            while (
-                not self.config.shed_overflow
-                and len(lane.items) >= self.config.max_queue
-                and not self._closed
-            ):
-                self._cond.wait(timeout=0.1)
             if self._closed:
                 raise ExecutorError("fair scheduler is closed")
             if len(lane.items) >= self.config.max_queue:
@@ -226,9 +217,7 @@ class FairScheduler:
                 best.vtime += 1.0 / best.weight
                 self._vclock = best.vtime
                 best.dispatched += 1
-                item = best.items.popleft()
-                self._cond.notify_all()  # wake blocked submitters
-                return item
+                return best.items.popleft()
             self._cond.wait()
 
     def _worker_loop(self) -> None:

@@ -32,7 +32,6 @@ neighbours (:meth:`MultiTenantOrchestrator.run_solo` +
 
 from __future__ import annotations
 
-import tempfile
 import threading
 import time
 import traceback
@@ -55,7 +54,7 @@ from repro.resilience import (
 )
 from repro.resources.catalog import ResourceCatalog
 from repro.runs.checkpoint import RunCheckpointer
-from repro.runs.store import RunStore
+from repro.runs.store import RunStore, run_directory
 from repro.scheduler.dedup import StageDeduper
 from repro.scheduler.fairqueue import FairQueueConfig, FairScheduler
 from repro.scheduler.governor import GovernorConfig, ServiceGovernor
@@ -357,8 +356,6 @@ class MultiTenantOrchestrator:
         result.counters = {
             "retries": health.total_retries,
             "fallbacks": health.total_fallbacks,
-            "breaker_trips": health.total_trips,
-            "short_circuits": health.total_short_circuits,
             "deadline_exceeded": health.total_deadline_exceeded,
         }
         return result
@@ -374,14 +371,13 @@ class MultiTenantOrchestrator:
     ) -> TenantResult:
         """Run one tenant alone: no governor, no fair queue, no dedup,
         fresh store.  The determinism oracle — a contended run of the
-        same spec must match this result bit for bit."""
-        if run_dir is None:
-            run_dir = tempfile.mkdtemp(prefix=f"solo-{spec.name}-")
+        same spec must match this result bit for bit.  Without a
+        ``run_dir`` the run goes to a temporary directory that is
+        removed on return."""
         max_attempts = 1 if shed else spec.max_attempts
         pipeline, policy, context = self._build_pipeline(
             spec, max_attempts, governor=None
         )
-        checkpoint = RunCheckpointer(run_dir, context=context)
         result = TenantResult(
             name=spec.name,
             seed=spec.seed,
@@ -390,11 +386,13 @@ class MultiTenantOrchestrator:
             shed=shed,
             max_attempts=max_attempts,
         )
-        t0 = time.perf_counter()
-        out = pipeline.run(self.splits, checkpoint)
-        return self._finish(
-            result, out, checkpoint, policy, time.perf_counter() - t0
-        )
+        with run_directory(run_dir, f"solo-{spec.name}-") as directory:
+            checkpoint = RunCheckpointer(directory, context=context)
+            t0 = time.perf_counter()
+            out = pipeline.run(self.splits, checkpoint)
+            return self._finish(
+                result, out, checkpoint, policy, time.perf_counter() - t0
+            )
 
     # ------------------------------------------------------------------
     # the orchestrated batch
@@ -410,9 +408,6 @@ class MultiTenantOrchestrator:
             raise ConfigurationError(f"duplicate tenant names in {names}")
 
         cfg = self.config
-        root = self.run_root or Path(tempfile.mkdtemp(prefix="multitenant-"))
-        root.mkdir(parents=True, exist_ok=True)
-        store = RunStore(root / "store")
         deduper = StageDeduper()
         governor = ServiceGovernor(
             cfg.governor, services=[r.name for r in self.catalog]
@@ -479,7 +474,14 @@ class MultiTenantOrchestrator:
                 traceback.clear_frames(exc.__traceback__)
 
         t_start = time.perf_counter()
-        with FairScheduler(cfg.fair_queue) as scheduler:
+        # tenant threads read root and store; both scopes close only
+        # after the scheduler has joined every tenant
+        with (
+            run_directory(self.run_root, "multitenant-") as root,
+            FairScheduler(cfg.fair_queue) as scheduler,
+        ):
+            root.mkdir(parents=True, exist_ok=True)
+            store = RunStore(root / "store")
             # register lanes up front (deterministic order) so weights
             # are in place before any work arrives
             lanes = [scheduler.register(t.name, t.weight) for t in tenants]

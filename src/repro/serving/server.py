@@ -49,7 +49,7 @@ from repro.resilience.fallback import (
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.retry import RetryConfig
 from repro.resources.base import OrganizationalResource
-from repro.resources.service_sets import IMAGE_SET
+from repro.resources.service_sets import model_feature_schema
 from repro.serving.artifacts import ServingArtifacts
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import TTLFeatureCache
@@ -158,20 +158,17 @@ class ModelServer:
         )
 
     # ------------------------------------------------------------------
-    # feature selection (mirrors CrossModalPipeline.model_feature_schema)
+    # feature selection (memoized per modality: on every request's path)
     # ------------------------------------------------------------------
     def model_schema(self, modality: Modality) -> FeatureSchema:
         """Servable features the deployed model consumes for ``modality``."""
         with self._schema_lock:
             if modality not in self._model_schemas:
-                sets = list(self.artifacts.model_service_sets)
-                if (
-                    self.artifacts.include_image_features
-                    and modality is not Modality.TEXT
-                ):
-                    sets.append(IMAGE_SET)
-                self._model_schemas[modality] = self.schema.select(
-                    service_sets=sets, servable_only=True, modality=modality
+                self._model_schemas[modality] = model_feature_schema(
+                    self.schema,
+                    self.artifacts.model_service_sets,
+                    self.artifacts.include_image_features,
+                    modality,
                 )
             return self._model_schemas[modality]
 

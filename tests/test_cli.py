@@ -126,6 +126,10 @@ def test_serve_via_cli(tmp_path, capsys, monkeypatch):
     assert "Serving under chaos" in out
     assert "gate=identity_ok [OK]\n" in out
     assert "gate=graceful [OK]\n" in out
+    # the batch run serve deploys is one of its steps, not an
+    # end_to_end experiment: only BENCH_serving.json is written
+    assert (tmp_path / "BENCH_serving.json").is_file()
+    assert not list(tmp_path.rglob("BENCH_end_to_end.json"))
     data = json.loads((tmp_path / "BENCH_serving.json").read_text())
     assert data["kind"] == "bench"
     metrics = data["metrics"]
@@ -153,7 +157,6 @@ def _chaos_result(fail):
         fallbacks=[0, 2],
         scale=0.05,
         seed=1,
-        breaker_trips=[0, 1],
     )
 
 

@@ -8,6 +8,8 @@ admission shedding, and the solo-vs-contended determinism oracle.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.core.config import CurationConfig, PipelineConfig
@@ -148,6 +150,25 @@ class TestContendedBatch:
             shed=True,
         )
         assert solo.matches(by_name["t3"])
+
+
+class TestScratchDirectories:
+    def test_runs_given_no_directory_leave_nothing_behind(
+        self, tiny_world, tiny_task, tiny_splits, tiny_catalog, tmp_path,
+        monkeypatch,
+    ):
+        """A batch or a solo run handed no directory works in a
+        temporary one and removes it on return."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        orch = MultiTenantOrchestrator(
+            tiny_world, tiny_task, tiny_splits, tiny_catalog,
+            base_config=BASE_CONFIG,
+        )
+        spec = TenantSpec(name="t0", seed=101)
+        report = orch.run([spec])
+        assert report.ok
+        assert orch.run_solo(spec).matches(report.tenants[0])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOrchestratorValidation:

@@ -3,6 +3,7 @@ resilient featurization."""
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import threading
 from types import SimpleNamespace
@@ -11,12 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import (
-    CircuitOpenError,
     ConfigurationError,
     DeadlineExceeded,
-    RateLimitError,
     ServiceError,
-    ServiceTimeoutError,
     ServiceUnavailableError,
     TransientServiceError,
 )
@@ -52,6 +50,14 @@ def values_equal(a, b):
             and np.array_equal(a, b)
         )
     return a == b
+
+
+def value_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, frozenset):
+        return repr(sorted(value)).encode()
+    return repr(value).encode()
 
 
 def tables_equal(a, b):
@@ -120,53 +126,6 @@ class TestFaultInjection:
         assert schedule(5) == schedule(5)
         assert schedule(5) != schedule(6)
 
-    def test_crash_points_always_crash(self, suite, small_corpus):
-        point = small_corpus[0]
-        spec = FaultSpec(crash_points=frozenset({point.point_id}))
-        client = FaultInjector(spec, seed=0).wrap(suite[0])
-        for _ in range(3):
-            with pytest.raises(ServiceUnavailableError):
-                client.apply(point, spawn(0, "crash"))
-
-    def test_rate_limit_raises(self, suite, small_corpus):
-        client = FaultInjector(FaultSpec(rate_limit_rate=1.0), seed=0).wrap(suite[0])
-        with pytest.raises(RateLimitError):
-            client.apply(small_corpus[0], spawn(0, "rl"))
-
-    def test_timeout_from_latency_budget(self, suite, small_corpus):
-        # mean latency far above budget: every call times out
-        spec = FaultSpec(mean_latency=500.0, latency_sigma=0.1, timeout_budget=50.0)
-        client = FaultInjector(spec, seed=0).wrap(suite[0])
-        with pytest.raises(ServiceTimeoutError):
-            client.apply(small_corpus[0], spawn(0, "to"))
-        # generous budget: no timeouts
-        spec = FaultSpec(mean_latency=10.0, latency_sigma=0.1, timeout_budget=10_000.0)
-        client = FaultInjector(spec, seed=0).wrap(suite[0])
-        client.apply(small_corpus[0], spawn(0, "to"))
-
-    def test_degraded_output_is_partial(self, suite, small_corpus):
-        categorical = next(
-            r for r in suite if r.spec.kind.value == "categorical"
-        )
-        clean_client = FaultInjector(FaultSpec(), seed=0).wrap(categorical)
-        degraded_client = FaultInjector(
-            FaultSpec(degraded_rate=1.0), seed=0
-        ).wrap(categorical)
-        saw_loss = False
-        for point in small_corpus:
-            if not categorical.supports(point.modality):
-                continue
-            tag = f"deg/{point.point_id}"
-            clean = clean_client.apply(point, spawn(0, tag))
-            degraded = degraded_client.apply(point, spawn(0, tag))
-            if clean is None:
-                assert degraded is None
-                continue
-            assert degraded <= clean  # partial result set
-            if degraded < clean:
-                saw_loss = True
-        assert saw_loss
-
     def test_attempt_counter_gives_fresh_draws(self, suite, small_corpus):
         # at 50% transient rate, repeated dials of the same point must
         # not all agree (attempt index feeds the fault stream)
@@ -181,27 +140,39 @@ class TestFaultInjection:
                 outcomes.add("fail")
         assert outcomes == {"ok", "fail"}
 
-    def test_reset_replays_schedule(self, suite, small_corpus):
-        client = FaultInjector(FaultSpec(transient_rate=0.5), seed=4).wrap(suite[0])
-        point = small_corpus[0]
-
-        def one_round():
-            out = []
-            for _ in range(6):
-                try:
-                    client.apply(point, spawn(0, "replay"))
-                    out.append("ok")
-                except TransientServiceError:
-                    out.append("fail")
-            return out
-
-        first = one_round()
-        client.reset()
-        assert one_round() == first
-
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultSpec(transient_rate=1.5)
+
+    def test_fault_schedule_digest_is_pinned(self, suite, tiny_splits):
+        """One SHA-256 over ``(service, point, attempt, raised, value
+        bytes)`` for attempts 0-2 of every supported cell of a mixed
+        text/image corpus.  Any change to how a fault is decided or a
+        value dialed — the stream derivation included — must keep
+        every schedule and value, so this digest must not move."""
+        injector = FaultInjector(FaultSpec(transient_rate=0.3), seed=17)
+        points = (
+            tiny_splits.text_labeled.points[:8]
+            + tiny_splits.image_test.points[:8]
+        )
+        digest = hashlib.sha256()
+        for client in injector.wrap_all(suite):
+            for point in points:
+                if not client.supports(point.modality):
+                    continue
+                for attempt in range(3):
+                    rng = spawn(5, f"feat/{point.point_id}/{client.name}")
+                    try:
+                        payload = value_bytes(client.apply(point, rng))
+                        raised = False
+                    except TransientServiceError:
+                        payload, raised = b"", True
+                    key = (client.name, point.point_id, attempt, raised)
+                    digest.update(repr(key).encode() + payload)
+        assert injector.total_faults > 0
+        assert digest.hexdigest() == (
+            "f523efa53e06309f86837c80bf2d65dfd0a7e66752613bcc140dbf51e699342f"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +318,6 @@ class TestCircuitBreaker:
         for _ in range(5):
             assert not breaker.allow()
         assert breaker.short_circuits == 5
-        with pytest.raises(CircuitOpenError):
-            breaker.check()
 
     def test_half_open_probe_recovers(self):
         breaker = self.make(recovery_ticks=3)
@@ -520,17 +489,33 @@ class TestResilientFeaturization:
             assert all(v is MISSING for v in table.column(name))
 
     def test_circuit_breaker_trips_under_outage(self, suite, small_corpus):
-        injector = FaultInjector(FaultSpec(transient_rate=1.0), seed=0)
-        wrapped = injector.wrap_all(suite)
-        policy = ResiliencePolicy(
-            retry=RetryConfig(max_attempts=2),
-            circuit=CircuitConfig(failure_threshold=4, recovery_ticks=1000),
-            seed=1,
+        # the breaker that runs is the governor's shared one: an outage
+        # trips it, and since it only paces dials the table equals the
+        # one an ungoverned policy builds
+        from repro.scheduler import GovernorConfig, ServiceGovernor
+
+        governor = ServiceGovernor(
+            GovernorConfig(
+                circuit=CircuitConfig(failure_threshold=4, recovery_ticks=3),
+                breaker_pause_s=0.0,
+            )
         )
-        featurize_corpus(small_corpus, wrapped, seed=5, policy=policy)
-        report = policy.health_report()
-        assert report.total_trips > 0
-        assert any(h.short_circuits > 0 for h in report.services.values())
+        tables = []
+        for gov in (governor, None):
+            injector = FaultInjector(FaultSpec(transient_rate=1.0), seed=0)
+            policy = ResiliencePolicy(
+                retry=RetryConfig(max_attempts=2), seed=1, governor=gov
+            )
+            tables.append(
+                featurize_corpus(
+                    small_corpus, injector.wrap_all(suite), seed=5,
+                    policy=policy,
+                )
+            )
+        assert governor.totals()["breaker_trips"] > 0
+        assert governor.totals()["breaker_waits"] > 0
+        assert tables_equal(tables[0], tables[1])
+        assert tables[0].degradation.n_missing == tables[0].degradation.n_cells
 
     def test_stale_cache_survives_second_pass(self, suite, small_corpus):
         # pass 1: no faults, warm the cache; pass 2: total outage — every
@@ -799,7 +784,6 @@ class TestConcurrentSharing:
         wrapped = injector.wrap_all(suite)
         policy = ResiliencePolicy(
             retry=RetryConfig(max_attempts=3),
-            circuit=CircuitConfig(failure_threshold=3),
             fallback=FallbackChain(substitutes=build_substitute_map(wrapped)),
             seed=11,
         )

@@ -220,7 +220,7 @@ class TestFairScheduler:
         assert counters["light"]["dispatched"] == 10
 
     def test_full_lane_sheds_inline(self):
-        config = FairQueueConfig(workers=1, max_queue=2, shed_overflow=True)
+        config = FairQueueConfig(workers=1, max_queue=2)
         scheduler = FairScheduler(config)  # workers not started: lane fills
         scheduler.register("t")
         ran_on = []
