@@ -36,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec import Executor
     from repro.resilience.policy import ResiliencePolicy
     from repro.runs.checkpoint import RunCheckpointer
-    from repro.runs.manifest import RunManifest
-from repro.core.exceptions import ConfigurationError, RepairError
+    from repro.runs.manifest import RunManifest, StageRecord
+from repro.core.exceptions import CheckpointError, ConfigurationError, RepairError
 from repro.core.rng import derive_seed, spawn
 from repro.exec import ExecutorConfig
 from repro.datagen.corpus import Corpus, CorpusSplits
@@ -72,7 +72,7 @@ from repro.runs.progress import ProgressManifest, job_key
 from repro.runs.store import RunStore
 from repro.shards.table import DENSE_KIND, MANIFEST_KIND, ROWS_KIND, ShardedTable
 
-__all__ = ["CrossModalPipeline", "CurationResult", "PipelineResult"]
+__all__ = ["CrossModalPipeline", "CurationResult", "PipelineResult", "read_stage"]
 
 
 @dataclass
@@ -717,14 +717,12 @@ class CrossModalPipeline:
                     f"replaying stage {name!r} needs the {producer.name!r} "
                     f"record, which the manifest lacks"
                 )
-            ref = upstream_record.artifacts.get(key)
-            if ref is None:
+            if key not in upstream_record.artifacts:
                 raise RepairError(
                     f"replaying stage {name!r} needs artifact {key!r} of "
                     f"stage {producer.name!r}, which its record does not list"
                 )
-            value = producer.decode({key: store.get_json(ref)}, store)
-            return producer.materialize(value)[key]
+            return read_stage(upstream_record, store, keys=(key,))[key]
 
         with tempfile.TemporaryDirectory(prefix="repro-stage-replay-") as scratch:
             value = stage.compute(pipeline, splits, upstream, RunStore(scratch))
@@ -856,9 +854,9 @@ def _decode_feature_tables(payloads: dict, store: RunStore) -> dict:
     """Tables from their payloads; sharded-table manifests rebind to
     :class:`~repro.shards.table.ShardedTable` handles.  A replay hands
     over every shard payload too, and the handles keep them for
-    :func:`_materialize_tables`; given the manifest alone (lineage
-    repair reads one artifact), a handle reads its shards on demand
-    through the verifying store path."""
+    :func:`_materialize_tables`; given the manifest alone
+    (:func:`read_stage`), a handle reads its shards on demand through
+    the verifying store path."""
     tables: dict = {}
     for key, doc in payloads.items():
         if "/" in key:
@@ -960,3 +958,31 @@ _STAGES: tuple[_Stage, ...] = (
 )
 _STAGE_BY_NAME = {stage.name: stage for stage in _STAGES}
 _PRODUCER_OF = {key: stage for stage in _STAGES for key in stage.outputs}
+
+
+def read_stage(
+    record: "StageRecord", store: RunStore, keys: tuple[str, ...] | None = None
+) -> dict:
+    """Decode a recorded stage's artifacts, as downstream stages see them.
+
+    Reads the record's top-level artifacts ``keys`` (default: every
+    output the stage declares) and decodes them through the stage
+    table's codec — the one a checkpoint replay uses — so lineage
+    repair and serving read a finished run exactly as the run wrote
+    it.  Artifacts decode one at a time, so a raw payload is released
+    before the next is read, and a sharded table reads its shards one
+    at a time while it materializes.  Raises :class:`CheckpointError`
+    for an artifact the record does not list.
+    """
+    stage = _STAGE_BY_NAME[record.name]
+    values: dict = {}
+    for key in stage.outputs if keys is None else keys:
+        ref = record.artifacts.get(key)
+        if ref is None:
+            raise CheckpointError(
+                f"{record.name} stage records no {key!r} artifact; the run "
+                f"was written by an incompatible build"
+            )
+        payload = {key: store.get_json(ref)}
+        values.update(stage.materialize(stage.decode(payload, store)))
+    return values

@@ -74,8 +74,6 @@ class ChaosResult:
     scale: float
     seed: int
     health_renders: list[str] = field(default_factory=list)
-    #: deadline exhaustions per availability level
-    deadline_exceeded: list[int] = field(default_factory=list)
 
     def gates(self) -> dict[str, bool]:
         return {"graceful": no_cliff(dict(zip(self.availabilities, self.auprcs)))}
@@ -142,7 +140,7 @@ def run_chaos(
     the fault-free tables bit-for-bit.
 
     Writes ``BENCH_chaos.json`` — per-level quality plus the resilience
-    control-plane counters (retries, fallbacks, deadline exhaustions) —
+    control-plane counters (retries, fallbacks) —
     into ``$REPRO_BENCH_DIR``, else ``out_dir``, else nowhere
     (:func:`repro.obs.bench.bench_dir`).
     """
@@ -158,7 +156,6 @@ def run_chaos(
     retries: list[int] = []
     fallbacks: list[int] = []
     health_renders: list[str] = []
-    deadline_exceeded: list[int] = []
 
     for availability in availabilities:
         fault_rate = 1.0 - availability
@@ -200,9 +197,7 @@ def run_chaos(
         missing.append(sum(r.n_missing for r in reports) / max(n_cells, 1))
         retries.append(sum(r.total_retries for r in reports))
         fallbacks.append(sum(r.n_fallbacks for r in reports))
-        health = policy.health_report()
-        health_renders.append(health.render())
-        deadline_exceeded.append(health.total_deadline_exceeded)
+        health_renders.append(policy.health_report().render())
 
     result = ChaosResult(
         availabilities=list(availabilities),
@@ -214,7 +209,6 @@ def run_chaos(
         scale=ctx.scale,
         seed=seed,
         health_renders=health_renders,
-        deadline_exceeded=deadline_exceeded,
     )
     directory = bench_dir(out_dir)
     if directory:
@@ -226,7 +220,6 @@ def run_chaos(
             missing_fractions=[round(f, 4) for f in result.missing_fractions],
             retries=result.retries,
             fallbacks=result.fallbacks,
-            deadline_exceeded=result.deadline_exceeded,
             graceful=result.gates()["graceful"],
         )
         artifact.write(directory)

@@ -372,21 +372,13 @@ def run_end_to_end(
     """The ``end_to_end`` experiment: :func:`run_pipeline` once, then
     ``BENCH_end_to_end.json`` into ``$REPRO_BENCH_DIR``, else
     ``run_dir``, else nowhere (:func:`repro.obs.bench.bench_dir`)."""
-    run, result = run_pipeline(
+    run, _ = run_pipeline(
         task=task, scale=scale, seed=seed, run_dir=run_dir, resume=resume,
         executor=executor, graph_backend=graph_backend,
         auto_repair=auto_repair, shard_size=shard_size,
     )
     directory = bench_dir(run_dir)
     if directory:
-        # degradation counters come from the featurized tables when a
-        # resilience policy was in play; a plain run reports zeros —
-        # the schema stays stable either way
-        reports = [
-            t.degradation
-            for t in result.tables.values()
-            if t.degradation is not None
-        ]
         artifact = BenchArtifact("end_to_end", scale=scale, seed=seed)
         for stage, seconds in run.timings.items():
             artifact.time(stage, seconds)
@@ -397,14 +389,6 @@ def run_end_to_end(
             coverage=round(run.coverage, 4),
             resumed_stages=run.resumed_stages,
             repaired_stages=run.repaired_stages,
-            retries=sum(r.total_retries for r in reports),
-            fallbacks=sum(r.n_fallbacks for r in reports),
-            shed_items=0,
-            dedup_hits=0,
-            deadline_exceeded=max(
-                (r.counters.get("deadline_exceeded", 0) for r in reports),
-                default=0,
-            ),
         )
         artifact.write(directory)
     return run

@@ -91,9 +91,7 @@ def rebuild_end_to_end(manifest: RunManifest):
     return build_pipeline_for_run(task, scale, seed, config)
 
 
-def make_repair_engine(
-    run_dir: str | Path, store: RunStore | None = None
-) -> RepairEngine:
+def make_repair_engine(run_dir: str | Path) -> RepairEngine:
     """A :class:`RepairEngine` for a checkpointed ``end_to_end`` run.
 
     Pipeline reconstruction (corpus generation, catalog build) is
@@ -102,8 +100,7 @@ def make_repair_engine(
     """
     run_dir = Path(run_dir)
     manifest = RunManifest.load(run_dir)
-    if store is None:
-        store = RunStore(run_dir)
+    store = RunStore(run_dir)
     state: dict = {}
 
     def recompute(record):

@@ -121,17 +121,10 @@ class DegradationEvent:
 
 @dataclass
 class DegradationReport:
-    """Degradation summary a resilient featurization run hands back.
-
-    ``counters`` carries policy-lifetime control-plane totals sampled
-    when the report was built (``deadline_exceeded``) so degraded
-    *values* and the control decisions that caused them travel
-    together.
-    """
+    """Degradation summary a resilient featurization run hands back."""
 
     events: list[DegradationEvent] = field(default_factory=list)
     n_cells: int = 0
-    counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def n_recovered(self) -> int:
@@ -182,13 +175,6 @@ class DegradationReport:
         ]
         for outcome, count in sorted(self.by_outcome().items()):
             lines.append(f"  {outcome:<20} {count}")
-        if self.counters:
-            lines.append(
-                "  counters: "
-                + ", ".join(
-                    f"{k}={v}" for k, v in sorted(self.counters.items())
-                )
-            )
         return "\n".join(lines)
 
 

@@ -31,9 +31,10 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 import repro.obs as obs
+from repro.core.exceptions import ConfigurationError
 from repro.core.rng import reseed, spawn_states
 from repro.dataflow.mapreduce import run_map
-from repro.exec import Executor, ExecutorConfig
+from repro.exec import Executor, ExecutorConfig, as_executor
 from repro.datagen.corpus import Corpus
 from repro.datagen.entities import DataPoint, Modality
 from repro.features.schema import FeatureSchema
@@ -164,11 +165,10 @@ class _RichFeaturizeTask:
     (optionally) per-service latencies alongside the feature row.
 
     Events and latencies return *as data* and are folded into the
-    report / trace on the coordinator, so process workers — which carry
-    neither the tracer nor the shared policy object — lose no
-    accounting.  Per-worker policy state (breakers, health) is a copy;
-    feature values stay bit-identical because every attempt reloads its
-    value RNG from the point's stream rows.
+    report / trace on the coordinator, so a traced process worker —
+    which carries no tracer — loses no accounting.  A policy runs only
+    on the serial and thread backends (see :func:`featurize_corpus`),
+    where every worker dials through the caller's one policy object.
     """
 
     __slots__ = ("resources", "seed", "policy", "collect_latencies")
@@ -225,8 +225,17 @@ def featurize_corpus(
     process); every point's value derives from its own
     ``(seed, point, resource)`` RNG stream — derived here for the whole
     corpus, before mapping — and rows merge in input order, so all
-    backends produce the byte-identical table.
+    backends produce the byte-identical table.  A ``policy`` cannot run
+    on the process backend: each worker would dial through its own
+    pickled copy, and the caller's policy would account for nothing.
     """
+    executor = as_executor(executor)
+    if policy is not None and executor.backend == "process":
+        raise ConfigurationError(
+            "a resilience policy cannot run on the process backend: worker "
+            "processes dial through pickled copies of it, so its health "
+            "accounting is lost — featurize on the serial or thread backend"
+        )
     schema = FeatureSchema(r.spec for r in resources)
     traced = obs.enabled()
 
@@ -257,17 +266,9 @@ def featurize_corpus(
             if policy is None:
                 report = None
             else:
-                events = [e for _, local, _ in mapped for e in local]
-                # control-plane totals sampled at table-build time
-                # (policy-lifetime: a policy reused across corpora
-                # reports cumulative counts in each later table)
-                health = policy.health_report()
                 report = DegradationReport(
-                    events=events,
+                    events=[e for _, local, _ in mapped for e in local],
                     n_cells=len(corpus.points) * len(resources),
-                    counters={
-                        "deadline_exceeded": health.total_deadline_exceeded,
-                    },
                 )
             if traced:
                 # per-service call counters + latency histograms,

@@ -101,23 +101,6 @@ class RunCheckpointer:
         #: stage names whose artifacts were rebuilt in place (auto-repair)
         self.repaired_stages: list[str] = []
 
-    def _store_payload(self, kind: str, payload: Any) -> ArtifactRef:
-        """Persist one encoded payload: raw bytes skip the JSON envelope
-        (binary shard containers), everything else travels inside it."""
-        if isinstance(payload, (bytes, bytearray)):
-            return self.store.put_bytes(kind, bytes(payload))
-        return self.store.put_json(kind, payload)
-
-    def _read_payload(self, ref: ArtifactRef) -> Any:
-        """Inverse of :meth:`_store_payload`, dispatching on the kind's
-        suffix the same way the store picks file extensions."""
-        if ref.kind.endswith((".npy", ".pkl")):
-            return self.store.get_bytes(ref)
-        return self.store.get_json(ref)
-
-    def _decode_refs(self, artifacts: dict[str, ArtifactRef]) -> dict[str, Any]:
-        return {key: self._read_payload(ref) for key, ref in artifacts.items()}
-
     def _stage_payloads(
         self,
         name: str,
@@ -135,7 +118,7 @@ class RunCheckpointer:
         the exact JSON round-trip it would have seen without damage.
         """
         try:
-            return self._decode_refs(artifacts)
+            return self._read_payloads(artifacts)
         except (ArtifactMissingError, IntegrityError):
             if not self.auto_repair:
                 raise
@@ -147,7 +130,10 @@ class RunCheckpointer:
                 )
             obs.add_counter("runs.stages_repaired")
             self.repaired_stages.append(name)
-            return self._decode_refs(artifacts)
+            return self._read_payloads(artifacts)
+
+    def _read_payloads(self, artifacts: dict[str, ArtifactRef]) -> dict[str, Any]:
+        return {key: self.store.get_payload(ref) for key, ref in artifacts.items()}
 
     def stage(
         self,
@@ -182,57 +168,37 @@ class RunCheckpointer:
             return StageOutcome(value=value, record=record, reused=True)
 
         t0 = time.perf_counter()
-        if self.deduper is not None:
+
+        def compute_and_store() -> tuple[Any, dict[str, ArtifactRef]]:
+            value = compute()
+            with obs.span("runs.stage.save", stage=name) as sp:
+                refs = {
+                    key: self.store.put_payload(kind, payload)
+                    for key, (kind, payload) in encode(value).items()
+                }
+                sp.add_counter("artifacts_saved", len(refs))
+            return value, refs
+
+        deduped = False
+        if self.deduper is None:
+            value, refs = compute_and_store()
+        else:
             # single-flight across concurrent runs sharing this store:
             # the first run with this fingerprint computes and persists,
             # the rest decode its artifacts (same path as a replay)
-            def _compute_and_store() -> tuple[Any, dict[str, ArtifactRef]]:
-                value = compute()
-                with obs.span("runs.stage.save", stage=name) as sp:
-                    refs = {
-                        key: self._store_payload(kind, payload)
-                        for key, (kind, payload) in encode(value).items()
-                    }
-                    sp.add_counter("artifacts_saved", len(refs))
-                return value, refs
-
-            outcome = self.deduper.run(fingerprint, _compute_and_store)
-            if outcome.hit:
+            outcome = self.deduper.run(fingerprint, compute_and_store)
+            value, refs, deduped = outcome.value, outcome.refs, outcome.hit
+            if deduped:
                 with obs.span("runs.stage.dedup", stage=name) as sp:
-                    payloads = self._stage_payloads(name, outcome.refs, compute, encode)
+                    payloads = self._stage_payloads(name, refs, compute, encode)
                     value = decode(payloads)
                     sp.add_counter("artifacts_reused", len(payloads))
                 obs.add_counter("runs.stages_deduped")
                 self.deduped_stages.append(name)
-            else:
-                value = outcome.value
-                obs.add_counter("runs.stages_computed")
-            record = self.manifest.record_stage(
-                name,
-                fingerprint,
-                config,
-                outcome.refs,
-                wall_time_s=time.perf_counter() - t0,
-            )
-            crash_boundary(f"stage:{name}")
-            return StageOutcome(
-                value=value, record=record, reused=False, deduped=outcome.hit
-            )
-
-        value = compute()
-        with obs.span("runs.stage.save", stage=name) as sp:
-            refs = {
-                key: self._store_payload(kind, payload)
-                for key, (kind, payload) in encode(value).items()
-            }
-            record = self.manifest.record_stage(
-                name,
-                fingerprint,
-                config,
-                refs,
-                wall_time_s=time.perf_counter() - t0,
-            )
-            sp.add_counter("artifacts_saved", len(refs))
-        obs.add_counter("runs.stages_computed")
+        if not deduped:
+            obs.add_counter("runs.stages_computed")
+        record = self.manifest.record_stage(
+            name, fingerprint, config, refs, wall_time_s=time.perf_counter() - t0
+        )
         crash_boundary(f"stage:{name}")
-        return StageOutcome(value=value, record=record, reused=False)
+        return StageOutcome(value=value, record=record, reused=False, deduped=deduped)

@@ -38,7 +38,7 @@ from repro.core.exceptions import (
     RepairError,
 )
 from repro.runs.manifest import RunManifest, StageRecord
-from repro.runs.store import ArtifactRef, RunStore, encode_envelope
+from repro.runs.store import ArtifactRef, RunStore, encode_payload
 
 __all__ = ["RepairAction", "verify_and_restore", "RepairEngine"]
 
@@ -58,13 +58,6 @@ class RepairAction:
     status_before: str
     #: whether the artifact was rewritten (``False`` = already healthy)
     restored: bool
-
-
-def _artifact_bytes(kind: str, payload: Any) -> bytes:
-    """The exact on-disk bytes a stage artifact persists as."""
-    if isinstance(payload, (bytes, bytearray)):
-        return bytes(payload)
-    return encode_envelope(kind, payload)
 
 
 def _lineage_note(record: StageRecord) -> str:
@@ -117,7 +110,7 @@ def verify_and_restore(
                 f"does not match the recorded run"
             )
         kind, payload = encoded[key]
-        data = _artifact_bytes(kind, payload)
+        data = encode_payload(kind, payload)
         actual = sha256_hex(data)
         if actual != ref.hash:
             raise RepairError(
@@ -255,22 +248,3 @@ class RepairEngine:
             f"produced by any manifest stage nor intact in the store; the "
             f"stage cannot be replayed. {_lineage_note(record)}"
         )
-
-    # ------------------------------------------------------------------
-    # self-healing read facades
-    # ------------------------------------------------------------------
-    def read_json(self, ref: ArtifactRef) -> Any:
-        """:meth:`RunStore.get_json` with one repair-and-retry on damage."""
-        try:
-            return self.store.get_json(ref)
-        except (ArtifactMissingError, IntegrityError):
-            self.ensure_healthy(ref.hash)
-            return self.store.get_json(ref)
-
-    def read_bytes(self, ref: ArtifactRef) -> bytes:
-        """:meth:`RunStore.get_bytes` with one repair-and-retry on damage."""
-        try:
-            return self.store.get_bytes(ref)
-        except (ArtifactMissingError, IntegrityError):
-            self.ensure_healthy(ref.hash)
-            return self.store.get_bytes(ref)

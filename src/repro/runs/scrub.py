@@ -136,16 +136,14 @@ class ScrubReport:
 
 def scrub_run(
     run_dir: str | Path,
-    store: RunStore | None = None,
     engine: RepairEngine | None = None,
     repair: bool = False,
 ) -> ScrubReport:
     """Audit (and optionally repair) every artifact the run references.
 
-    ``store`` defaults to the run directory's own store; pass the shared
-    one if the run was created against it.  ``repair=True`` requires an
-    ``engine`` — repair is lineage replay, and the replay recipe is
-    experiment-specific.
+    The audit reads the engine's store when one is given, else the run
+    directory's own.  ``repair=True`` requires an ``engine`` — repair is
+    lineage replay, and the replay recipe is experiment-specific.
     """
     run_dir = Path(run_dir)
     if repair and engine is None:
@@ -155,8 +153,7 @@ def scrub_run(
             "for a report-only audit"
         )
     manifest = RunManifest.load(run_dir)
-    if store is None:
-        store = engine.store if engine is not None else RunStore(run_dir)
+    store = engine.store if engine is not None else RunStore(run_dir)
 
     # audit pass: classify everything before touching anything
     entries: list[ScrubEntry] = []

@@ -12,10 +12,12 @@ that is *repairable* damage: the content hash still pins the exact
 bytes, so the producing stage can be replayed and verified
 (see :mod:`repro.runs.repair` and ``scrub --repair``).
 
-JSON artifacts travel inside a small envelope ``{format_version, kind,
-data}`` so version skew and kind confusion are detected before any
-payload is decoded.  Binary artifacts (pickled MapReduce partitions)
-skip the envelope; their integrity rests on the content hash alone.
+An artifact's kind decides how its payload is stored
+(:func:`encode_payload`): ``.npy``/``.pkl`` kinds (dense shard blocks,
+pickled corpus shards) are raw bytes whose integrity rests on the
+content hash alone; every other kind is JSON inside a small envelope
+``{format_version, kind, data}``, so version skew and kind confusion are
+detected before any payload is decoded.
 """
 
 from __future__ import annotations
@@ -37,11 +39,15 @@ __all__ = [
     "RunStore",
     "ARTIFACT_FORMAT_VERSION",
     "encode_envelope",
+    "encode_payload",
     "run_directory",
 ]
 
 #: bump when the artifact envelope layout changes incompatibly
 ARTIFACT_FORMAT_VERSION = 1
+#: kind suffixes stored as raw bytes (and as the file extension);
+#: every other kind travels in the JSON envelope
+_RAW_SUFFIXES = (".npy", ".pkl")
 
 
 @contextmanager
@@ -68,6 +74,14 @@ def encode_envelope(kind: str, payload: object) -> bytes:
         "data": payload,
     }
     return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+
+
+def encode_payload(kind: str, payload: object) -> bytes:
+    """The exact bytes :meth:`RunStore.put_payload` persists: raw bytes
+    for a ``.npy``/``.pkl`` kind, else the JSON envelope."""
+    if kind.endswith(_RAW_SUFFIXES):
+        return bytes(payload)
+    return encode_envelope(kind, payload)
 
 
 def _quarantine_note(quarantined: Path | None) -> str:
@@ -118,12 +132,7 @@ class RunStore:
     # raw bytes
     # ------------------------------------------------------------------
     def _path_for(self, digest: str, kind: str) -> Path:
-        if kind.endswith(".pkl"):
-            suffix = ".pkl"
-        elif kind.endswith(".npy"):
-            suffix = ".npy"
-        else:
-            suffix = ".json"
+        suffix = next((s for s in _RAW_SUFFIXES if kind.endswith(s)), ".json")
         return self.artifact_dir / f"{digest}{suffix}"
 
     def path_for(self, ref: ArtifactRef) -> Path:
@@ -242,8 +251,18 @@ class RunStore:
         return target
 
     # ------------------------------------------------------------------
-    # JSON envelope
+    # payloads: raw bytes or the JSON envelope, by kind
     # ------------------------------------------------------------------
+    def put_payload(self, kind: str, payload: object) -> ArtifactRef:
+        """Store one encoded stage payload (see :func:`encode_payload`)."""
+        return self.put_bytes(kind, encode_payload(kind, payload))
+
+    def get_payload(self, ref: ArtifactRef) -> object:
+        """Inverse of :meth:`put_payload`."""
+        if ref.kind.endswith(_RAW_SUFFIXES):
+            return self.get_bytes(ref)
+        return self.get_json(ref)
+
     def put_json(self, kind: str, payload: object) -> ArtifactRef:
         """Store a JSON-serializable payload under an integrity envelope."""
         return self.put_bytes(kind, encode_envelope(kind, payload))

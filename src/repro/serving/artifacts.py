@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.exceptions import CheckpointError, ConfigurationError
-from repro.features.io import table_from_dict
+from repro.core.pipeline import read_stage
 from repro.features.table import FeatureTable
-from repro.runs import codecs
 from repro.runs.manifest import RunManifest, StageRecord
-from repro.runs.repair import RepairEngine
-from repro.runs.store import ArtifactRef, RunStore
+from repro.runs.store import RunStore
 
 __all__ = ["ServingArtifacts"]
 
@@ -77,53 +75,21 @@ class ServingArtifacts:
     context: dict = field(default_factory=dict)
 
     @classmethod
-    def load(
-        cls, run_dir: str | Path, repair: RepairEngine | None = None
-    ) -> "ServingArtifacts":
+    def load(cls, run_dir: str | Path) -> "ServingArtifacts":
         """Load serving artifacts from a completed checkpointed run.
 
-        With a :class:`RepairEngine`, a corrupt or missing artifact is
-        rebuilt from lineage (hash-verified against the manifest) and
-        the load retried once, so a deploy survives store damage instead
-        of dying on the first read.  Without one, integrity failures
-        propagate — serving never starts from bytes it cannot vouch for.
+        The featurize and train records decode through the pipeline's
+        stage table (:func:`~repro.core.pipeline.read_stage`), so a
+        sharded run serves the same materialized tables as an in-memory
+        one.  Integrity failures propagate — serving never starts from
+        bytes it cannot vouch for (``scrub --repair`` heals the run).
         """
         manifest = RunManifest.load(run_dir)
-        store = repair.store if repair is not None else RunStore(run_dir)
-
-        def read_json(ref: ArtifactRef) -> object:
-            if repair is not None:
-                return repair.read_json(ref)
-            return store.get_json(ref)
-
+        store = RunStore(run_dir)
         featurize = _complete_stage(manifest, "featurize")
         train = _complete_stage(manifest, "train")
-
-        # sharded runs list one shard-manifest artifact per split plus
-        # its per-shard artifacts (keys like "text/shard00003"); serving
-        # wants materialized tables either way, so dispatch on kind and
-        # let the manifest handle pull its shards through the same
-        # (repairing, verifying) reader
-        from repro.shards.table import MANIFEST_KIND, ShardedTable
-
-        reader = repair if repair is not None else None
-        tables: dict[str, FeatureTable] = {}
-        for name, ref in featurize.artifacts.items():
-            if "/" in name:
-                continue  # a shard of some split, owned by its manifest
-            if ref.kind == MANIFEST_KIND:
-                tables[name] = ShardedTable(
-                    store, read_json(ref), reader=reader
-                ).to_table()
-            else:
-                tables[name] = table_from_dict(read_json(ref))
-        model_ref = train.artifacts.get("model")
-        if model_ref is None:
-            raise CheckpointError(
-                f"train stage of run at {run_dir} records no 'model' artifact"
-            )
-        model = codecs.decode_model(read_json(model_ref))
-
+        tables = read_stage(featurize, store)
+        model = read_stage(train, store)["model"]
         return cls(
             model=model,
             featurize_seed=int(_stage_config(featurize, "derived_seed")),

@@ -112,9 +112,7 @@ class ModelServer:
 
     ``resources`` is the live service catalog (possibly fault-wrapped
     :class:`ServiceClient`\\ s); it must carry exactly the features the
-    run was featurized with.  ``governor`` is an optional shared
-    :class:`~repro.scheduler.ServiceGovernor` for multi-server
-    deployments.
+    run was featurized with.
     """
 
     def __init__(
@@ -122,7 +120,6 @@ class ModelServer:
         artifacts: ServingArtifacts,
         resources: list[OrganizationalResource],
         config: ServingConfig | None = None,
-        governor=None,
     ) -> None:
         self.config = config or ServingConfig()
         self.artifacts = artifacts
@@ -141,7 +138,6 @@ class ModelServer:
                 stale_cache=store,
             ),
             seed=derive_seed(artifacts.featurize_seed, "serving-policy"),
-            governor=governor,
         )
         self.warmed = 0
         if self.config.warm_cache:

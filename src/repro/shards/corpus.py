@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pickle
 from collections.abc import Iterable, Iterator
-from typing import Any
 
 from repro.core.exceptions import CheckpointError, IntegrityError
 from repro.datagen.corpus import Corpus
@@ -40,7 +39,6 @@ class ShardedCorpus:
         store: RunStore,
         manifest: dict,
         manifest_ref: ArtifactRef | None = None,
-        reader: Any | None = None,
     ) -> None:
         version = manifest.get("format_version")
         if version != _MANIFEST_FORMAT_VERSION:
@@ -51,7 +49,6 @@ class ShardedCorpus:
         self.store = store
         self.manifest = manifest
         self.manifest_ref = manifest_ref
-        self.reader = reader
         self.name = str(manifest["name"])
         self.n_points = int(manifest["n_points"])
         self.shard_size = int(manifest["shard_size"])
@@ -68,16 +65,11 @@ class ShardedCorpus:
     def ranges(self) -> list[tuple[int, int]]:
         return [(int(s["start"]), int(s["stop"])) for s in self._shards]
 
-    def _read_bytes(self, ref: ArtifactRef) -> bytes:
-        if self.reader is not None:
-            return self.reader.read_bytes(ref)
-        return self.store.get_bytes(ref)
-
     def shard_points(self, index: int) -> list[DataPoint]:
         """Load one shard's points (verified via the store)."""
         entry = self._shards[index]
         ref = ArtifactRef.from_dict(entry["ref"])
-        data = self._read_bytes(ref)
+        data = self.store.get_bytes(ref)
         try:
             points = pickle.loads(data)
         except Exception as exc:  # noqa: BLE001 - any unpickle failure is corruption

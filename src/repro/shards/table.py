@@ -5,12 +5,8 @@ manifest (schema, row count, shard ranges, shard artifact refs) and
 reads shards on demand from a :class:`~repro.runs.store.RunStore`.
 ``iter_shards`` / ``iter_rows`` therefore stream with O(shard) resident
 memory, and the manifest's content hash pins every shard hash — the
-Merkle property checkpoint fingerprints chain over.
-
-The ``reader`` seam accepts anything with ``read_json(ref)`` /
-``read_bytes(ref)`` — a plain store wrapper by default, or a
-:class:`~repro.runs.repair.RepairEngine` for self-healing loads (the
-engine's facade has exactly this shape).
+Merkle property checkpoint fingerprints chain over.  Every shard read
+goes through the store's verifying ``get_json`` / ``get_bytes``.
 """
 
 from __future__ import annotations
@@ -40,21 +36,6 @@ DENSE_KIND = "table_shard.npy"
 _MANIFEST_FORMAT_VERSION = 1
 
 
-class _StoreReader:
-    """Default verifying reader over a bare store."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: RunStore) -> None:
-        self.store = store
-
-    def read_json(self, ref: ArtifactRef) -> Any:
-        return self.store.get_json(ref)
-
-    def read_bytes(self, ref: ArtifactRef) -> bytes:
-        return self.store.get_bytes(ref)
-
-
 def _ref_or_none(data: dict | None) -> ArtifactRef | None:
     return None if data is None else ArtifactRef.from_dict(data)
 
@@ -72,7 +53,6 @@ class ShardedTable:
         store: RunStore,
         manifest: dict,
         manifest_ref: ArtifactRef | None = None,
-        reader: Any | None = None,
         payloads: list[tuple[Any, bytes | None]] | None = None,
     ) -> None:
         version = manifest.get("format_version")
@@ -84,7 +64,6 @@ class ShardedTable:
         self.store = store
         self.manifest = manifest
         self.manifest_ref = manifest_ref
-        self.reader = reader if reader is not None else _StoreReader(store)
         self.schema = FeatureSchema(
             _spec_from_dict(s) for s in manifest["schema"]
         )
@@ -127,10 +106,8 @@ class ShardedTable:
         if self._payloads is not None:
             return self._payloads[index]
         rows_ref, dense_ref = self.shard_refs(index)
-        rows_doc = self.reader.read_json(rows_ref)
-        dense = (
-            self.reader.read_bytes(dense_ref) if dense_ref is not None else None
-        )
+        rows_doc = self.store.get_json(rows_ref)
+        dense = self.store.get_bytes(dense_ref) if dense_ref is not None else None
         return rows_doc, dense
 
     def read_payloads(self) -> list[tuple[Any, bytes | None]]:

@@ -172,16 +172,6 @@ def test_engine_accepts_intact_external_input(tmp_path):
     assert ck.store.get_json(ref) == {"v": 42}
 
 
-def test_engine_read_json_self_heals(tmp_path):
-    ck, out1, _ = _build_chained_run(tmp_path)
-    ref = out1.record.artifacts["out"]
-    _path_of(ck.store, ref).unlink()
-
-    engine = RepairEngine(ck.manifest, ck.store, _recompute_for(ck.store))
-    assert engine.read_json(ref) == {"v": 41}
-    assert ck.store.check(ref) == "healthy"
-
-
 # ----------------------------------------------------------------------
 # checkpointer auto-repair
 # ----------------------------------------------------------------------

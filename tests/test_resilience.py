@@ -36,7 +36,9 @@ from repro.resilience import (
     build_substitute_map,
 )
 from repro.exec import ExecutorConfig
+from repro.features.io import table_to_dict
 from repro.resources.featurize import featurize_corpus, featurize_point
+from repro.runs.store import encode_envelope
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +454,47 @@ class TestResilientFeaturization:
         assert tables_equal(tables[0], tables[1])
         assert tables_equal(tables[0], tables[2])
 
+    def test_policy_on_process_backend_raises(self, suite, small_corpus):
+        wrapped, policy = make_faulty_setup(suite)
+        with pytest.raises(ConfigurationError, match="process backend"):
+            featurize_corpus(
+                small_corpus, wrapped, seed=5, policy=policy,
+                executor=ExecutorConfig("process", 2),
+            )
+        assert policy.health_report().total_attempts == 0
+
+    def test_thread_backend_keeps_the_callers_accounting(
+        self, suite, small_corpus
+    ):
+        """Thread workers dial through the caller's one policy, so its
+        health totals equal a serial run's, deadlines included."""
+        runs = []
+        for executor in (None, ExecutorConfig("thread", 3)):
+            injector = FaultInjector(FaultSpec(transient_rate=0.3), seed=3)
+            wrapped = injector.wrap_all(suite)
+            policy = ResiliencePolicy(
+                retry=RetryConfig(max_attempts=3),
+                fallback=FallbackChain(substitutes=build_substitute_map(wrapped)),
+                seed=11,
+                deadline_budget=0.12,
+            )
+            table = featurize_corpus(
+                small_corpus, wrapped, seed=5, executor=executor, policy=policy
+            )
+            health = policy.health_report()
+            runs.append((
+                hashlib.sha256(
+                    encode_envelope("feature_table", table_to_dict(table))
+                ).hexdigest(),
+                health.total_attempts,
+                health.total_retries,
+                health.total_fallbacks,
+                health.total_deadline_exceeded,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > len(small_corpus)
+        assert runs[0][4] > 0
+
     def test_untouched_cells_match_fault_free_run(self, suite, small_corpus):
         wrapped, policy = make_faulty_setup(suite)
         faulty = featurize_corpus(small_corpus, wrapped, seed=5, policy=policy)
@@ -649,7 +692,6 @@ class TestDeadlineRetry:
         # deadlines fired and were absorbed as degradations, not errors
         assert health.total_deadline_exceeded > 0
         assert health.total_retries == 0
-        assert table.degradation.counters["deadline_exceeded"] > 0
         assert table.n_rows == len(small_corpus)
 
 

@@ -5,14 +5,18 @@ bit-identical across batching, cache state, concurrency, and faults)."""
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.core.exceptions import CheckpointError, ConfigurationError
+from repro.core.pipeline import CrossModalPipeline, read_stage
+from repro.features.io import table_to_dict
 from repro.features.table import MISSING
 from repro.resilience import FaultInjector, FaultSpec, StaleValueCache
 from repro.runs import RunCheckpointer
-from repro.runs.manifest import RunManifest
+from repro.runs.manifest import RunManifest, StageRecord
+from repro.runs.store import RunStore
 from repro.serving import (
     MicroBatcher,
     ModelServer,
@@ -79,6 +83,34 @@ class TestServingArtifacts:
         RunManifest.create(tmp_path, {"task": "CT1"})
         with pytest.raises(CheckpointError, match="featurize"):
             ServingArtifacts.load(tmp_path)
+
+    def test_load_record_without_its_artifact(self, tmp_path):
+        record = StageRecord(
+            name="train", status="complete", fingerprint="f", config={}
+        )
+        with pytest.raises(CheckpointError, match="'model'"):
+            read_stage(record, RunStore(tmp_path))
+
+    def test_sharded_run_serves_the_unsharded_tables(
+        self, artifacts, reference, serve_points, tmp_path,
+        tiny_world, tiny_task, tiny_catalog, tiny_pipeline, tiny_splits,
+    ):
+        run_dir = tmp_path / "sharded"
+        config = replace(tiny_pipeline.config, shard_size=97)
+        CrossModalPipeline(tiny_world, tiny_task, tiny_catalog, config).run(
+            tiny_splits,
+            checkpoint=RunCheckpointer(run_dir, context={"task": "CT1"}),
+        )
+        featurize = RunManifest.load(run_dir).stages["featurize"]
+        assert any("/" in key for key in featurize.artifacts)
+        sharded = ServingArtifacts.load(run_dir)
+        assert set(sharded.tables) == set(artifacts.tables)
+        for key, table in artifacts.tables.items():
+            assert table_to_dict(sharded.tables[key]) == table_to_dict(table)
+        serving = ServingConfig(max_batch_size=1, max_wait_s=0.0)
+        with ModelServer(sharded, list(tiny_catalog), serving) as server:
+            decisions = {p.point_id: server.decide(p) for p in serve_points}
+        assert keys(decisions) == keys(reference)
 
     def test_validate_catalog_accepts_exact_match(self, artifacts, tiny_catalog):
         artifacts.validate_catalog(list(tiny_catalog))
