@@ -11,8 +11,8 @@ cross-modal adaptation, together with every substrate it depends on:
   (model-based services, aggregate statistics, rule-based services).
 * :mod:`repro.features` — the common structured feature space induced by
   applying resources across modalities.
-* :mod:`repro.dataflow` — a local MapReduce engine used by the feature
-  and labeling-function pipelines.
+* :mod:`repro.dataflow` — the ordered per-record map the feature and
+  labeling-function pipelines run on.
 * :mod:`repro.labeling` — weak supervision: labeling functions, label
   matrix, and a Snorkel-style generative label model.
 * :mod:`repro.mining` — automatic labeling-function generation via

@@ -1,13 +1,12 @@
-"""Local MapReduce engine.
+"""Local dataflow primitive.
 
 The paper implements its feature-engineering and labeling-function
-pipelines on Google's MapReduce framework.  This subpackage provides a
-small, deterministic, in-process equivalent with the same programming
-model (map -> combine -> shuffle -> reduce) so the featurization and LF
-application code can be written the way the paper describes, and so the
-pipeline scales across local threads when corpora grow.
+pipelines as MapReduce jobs on Google's framework.  Both are per-record
+maps, so this subpackage provides one primitive, :func:`run_map`: an
+ordered, deterministic per-record map whose output does not depend on
+the execution backend it runs on.
 """
 
-from repro.dataflow.mapreduce import MapReduceJob, run_map, run_mapreduce
+from repro.dataflow.mapreduce import run_map
 
-__all__ = ["MapReduceJob", "run_map", "run_mapreduce"]
+__all__ = ["run_map"]

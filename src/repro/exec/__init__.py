@@ -7,7 +7,7 @@ implementations:
 * :class:`ThreadExecutor` — a thread pool (GIL-releasing workloads);
 * :class:`ProcessExecutor` — a process pool (Python-bound workloads).
 
-The dataflow layer merges results in (partition, input-order) order and
+The dataflow layer merges results in input order and
 derives every RNG stream from recorded seeds, so **all three backends
 produce byte-identical artifacts** — the differential suite in
 ``tests/test_exec_equivalence.py`` holds them to that via RunStore

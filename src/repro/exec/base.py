@@ -1,15 +1,16 @@
 """Executor abstraction: *where* dataflow partitions run.
 
-The dataflow layer (MapReduce, featurization, graph build) describes
-*what* to compute over ordered partitions; an :class:`Executor` decides
-*how* those partition tasks are scheduled — inline on the calling
-thread, on a thread pool, or on a pool of worker processes.  The
+The dataflow layer (the per-record map, featurization, graph build)
+describes *what* to compute over ordered partitions; an
+:class:`Executor` decides *how* those partition tasks are scheduled —
+inline on the calling thread, on a thread pool, or on a pool of worker
+processes.  The
 contract every backend must honour:
 
 * **Order.** ``map_ordered(fn, items)`` returns results in input order,
   and ``imap_ordered`` yields them in input order, regardless of which
-  worker finished first.  Callers merge in (partition, input-order)
-  order, so results are byte-identical across backends.
+  worker finished first.  Callers merge in input order, so results
+  are byte-identical across backends.
 * **Errors.** The exception of the earliest-ordered failing item
   propagates to the caller (parallel backends may have computed later
   items already; their results are discarded).

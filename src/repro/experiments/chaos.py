@@ -196,7 +196,7 @@ def run_chaos(
         degraded.append(sum(r.n_degraded for r in reports) / max(n_cells, 1))
         missing.append(sum(r.n_missing for r in reports) / max(n_cells, 1))
         retries.append(sum(r.total_retries for r in reports))
-        fallbacks.append(sum(r.n_fallbacks for r in reports))
+        fallbacks.append(sum(r.n_degraded for r in reports))
         health_renders.append(policy.health_report().render())
 
     result = ChaosResult(

@@ -2,15 +2,13 @@
 
 The point of the sharded data plane (:mod:`repro.shards`, DESIGN.md
 §16) is an O(shard) memory profile: streaming a corpus through
-featurize → LF application → MapReduce should hold one shard of points
-and feature rows resident at a time, no matter how large the corpus is.
-This experiment measures that claim and **gates** on it:
+featurize should hold one shard of points and feature rows resident at
+a time, no matter how large the corpus is.  This experiment measures
+that claim and **gates** on it:
 
 * sweep corpus size × shard size; every cell streams generated points
-  through :func:`~repro.shards.build_sharded_corpus`,
-  :func:`~repro.shards.featurize_corpus_sharded`,
-  :func:`~repro.shards.apply_lfs_sharded`, and
-  :func:`~repro.shards.run_mapreduce_sharded` — the full corpus is
+  through :func:`~repro.shards.build_sharded_corpus` and
+  :func:`~repro.shards.featurize_corpus_sharded` — the full corpus is
   never materialized;
 * record the ``tracemalloc`` peak per cell (numpy buffers are tracked)
   plus per-stage wall timings, and ``ru_maxrss`` for context
@@ -36,8 +34,6 @@ from dataclasses import dataclass
 from repro.core.rng import derive_seed, spawn
 from repro.datagen.entities import DataPoint, Modality
 from repro.experiments.reporting import render_table
-from repro.features.schema import FeatureKind
-from repro.labeling.lf import LabelingFunction
 from repro.obs.bench import BenchArtifact, bench_dir
 
 __all__ = [
@@ -55,7 +51,7 @@ DEFAULT_SHARD_SIZES = (64,)
 #: plane has ratio ~1.0, a constant-memory one ~1/size_ratio
 _SUBLINEAR_SLOPE = 0.6
 
-_STAGES = ("corpus", "featurize", "apply_lfs", "mapreduce")
+_STAGES = ("corpus", "featurize")
 
 
 @dataclass
@@ -68,7 +64,6 @@ class ShardScaleCell:
     tracemalloc_peak_bytes: int
     ru_maxrss_kb: int
     stage_seconds: dict[str, float]
-    distinct_keys: int
 
 
 @dataclass
@@ -138,49 +133,6 @@ def _stream_points(
         yield world.generate_point(task, Modality.IMAGE, point_id=pid, rng=rng)
 
 
-def _threshold_lfs(schema) -> list[LabelingFunction]:
-    """Two numeric-threshold LFs over the catalog schema (pure row
-    functions, so sharded and unsharded application agree by value)."""
-    numeric = [s.name for s in schema if s.kind is FeatureKind.NUMERIC]
-    if len(numeric) < 2:
-        raise ValueError(
-            f"shardscale needs >= 2 numeric features, schema has {numeric}"
-        )
-    lo, hi = numeric[0], numeric[1]
-
-    def vote_lo(row, name=lo):
-        value = row.get(name)
-        return 1 if value is not None and float(value) > 0.1 else 0
-
-    def vote_hi(row, name=hi):
-        value = row.get(name)
-        return -1 if value is not None and float(value) > 0.2 else 0
-
-    return [
-        LabelingFunction(f"lf_{lo}_gt", vote_lo, depends_on=(lo,)),
-        LabelingFunction(f"lf_{hi}_gt", vote_hi, depends_on=(hi,)),
-    ]
-
-
-def _bucket_mapper(row: dict) -> list[tuple[int, int]]:
-    """Decile-bucket every numeric value in the row (commutative count
-    job — reducer output is invariant under combiner pre-aggregation,
-    the contract sharded MapReduce requires)."""
-    out = []
-    for value in row.values():
-        if isinstance(value, float):
-            out.append((min(9, max(0, int(value * 10))), 1))
-    return out
-
-
-def _sum_combiner(key: int, values: list[int]) -> list[int]:
-    return [sum(values)]
-
-
-def _sum_reducer(key: int, values: list[int]) -> int:
-    return sum(values)
-
-
 def run_shardscale(
     sizes: "tuple[int, ...] | list[int] | None" = None,
     shard_sizes: "tuple[int, ...] | list[int] | None" = None,
@@ -193,12 +145,7 @@ def run_shardscale(
     from repro.datagen.tasks import classification_task, generate_task_corpora
     from repro.resources.service_sets import build_resource_suite
     from repro.runs.store import RunStore
-    from repro.shards import (
-        apply_lfs_sharded,
-        build_sharded_corpus,
-        featurize_corpus_sharded,
-        run_mapreduce_sharded,
-    )
+    from repro.shards import build_sharded_corpus, featurize_corpus_sharded
 
     sizes = tuple(sizes) if sizes else DEFAULT_SIZES
     shard_sizes = tuple(shard_sizes) if shard_sizes else DEFAULT_SHARD_SIZES
@@ -211,10 +158,6 @@ def run_shardscale(
     )
     catalog = build_resource_suite(world, task, n_history=2500, seed=seed)
     resources = list(catalog)
-    from repro.features.schema import FeatureSchema
-
-    schema = FeatureSchema(r.spec for r in resources)
-    lfs = _threshold_lfs(schema)
     feat_seed = derive_seed(seed, "featurize")
 
     cells: list[ShardScaleCell] = []
@@ -243,21 +186,6 @@ def run_shardscale(
                 )
                 timings["featurize"] = time.perf_counter() - t0
 
-                t0 = time.perf_counter()
-                apply_lfs_sharded(lfs, table, store=store)
-                timings["apply_lfs"] = time.perf_counter() - t0
-
-                t0 = time.perf_counter()
-                counters: dict[str, int] = {}
-                run_mapreduce_sharded(
-                    (list(shard.iter_rows()) for shard in table.iter_shards()),
-                    _bucket_mapper,
-                    _sum_reducer,
-                    combiner=_sum_combiner,
-                    counters=counters,
-                )
-                timings["mapreduce"] = time.perf_counter() - t0
-
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
                 cells.append(
@@ -270,7 +198,6 @@ def run_shardscale(
                             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                         ),
                         stage_seconds=timings,
-                        distinct_keys=int(counters.get("distinct_keys", 0)),
                     )
                 )
             finally:
@@ -317,7 +244,6 @@ def run_shardscale(
                     "stage_seconds": {
                         k: round(v, 4) for k, v in c.stage_seconds.items()
                     },
-                    "distinct_keys": c.distinct_keys,
                 }
                 for c in cells
             ],

@@ -20,7 +20,7 @@ Typical use::
 
     import repro.obs as obs
 
-    tracer = obs.enable()            # activate the default tracer
+    tracer = obs.enable()            # activate a fresh default tracer
     with obs.span("featurize", corpus="text") as sp:
         sp.add_counter("rows", n)
         sp.observe("latency_s/topic_model", dt)
@@ -35,14 +35,7 @@ from typing import Any
 
 from repro.obs import registry as _registry
 from repro.obs.bench import BenchArtifact
-from repro.obs.registry import (
-    current,
-    disable,
-    enable,
-    enabled,
-    get_tracer,
-    reset_registry,
-)
+from repro.obs.registry import current, disable, enable, enabled
 from repro.obs.trace import (
     DEFAULT_BUCKETS,
     NOOP_SPAN,
@@ -65,9 +58,7 @@ __all__ = [
     "enable",
     "enabled",
     "format_trace",
-    "get_tracer",
     "observe",
-    "reset_registry",
     "set_gauge",
     "span",
     "timed",

@@ -1,31 +1,17 @@
-"""Process-local tracer registry and the active-tracer switch.
+"""The active-tracer switch.
 
-The registry maps names to long-lived :class:`~repro.obs.trace.Tracer`
-instances so independent subsystems can share one trace by name.  At
-most one tracer is *active* at a time: the module-level helpers in
-:mod:`repro.obs` route through it, and return no-ops when none is
-active (the default).  Activation is process-global by design — the
-instrumented layers (MapReduce, featurization) fan work out to threads,
-and all of it should land in the same trace.
+At most one :class:`~repro.obs.trace.Tracer` is *active* at a time: the
+module-level helpers in :mod:`repro.obs` route through it, and return
+no-ops when none is active (the default).  Activation is process-global
+by design — the instrumented layers (the per-record map, featurization)
+fan work out to threads, and all of it should land in the same trace.
 """
 
 from __future__ import annotations
 
-import threading
-
 from repro.obs.trace import Tracer
 
-__all__ = [
-    "get_tracer",
-    "reset_registry",
-    "enable",
-    "disable",
-    "current",
-    "enabled",
-]
-
-_registry_lock = threading.Lock()
-_tracers: dict[str, Tracer] = {}
+__all__ = ["enable", "disable", "current", "enabled"]
 
 #: The active tracer, or ``None`` (tracing disabled).  Read on every
 #: instrumented call — kept a plain module global so the disabled check
@@ -33,42 +19,12 @@ _tracers: dict[str, Tracer] = {}
 _active: Tracer | None = None
 
 
-def get_tracer(name: str = "default") -> Tracer:
-    """Fetch (creating on first use) the named process-local tracer."""
-    with _registry_lock:
-        tracer = _tracers.get(name)
-        if tracer is None:
-            tracer = _tracers[name] = Tracer(name)
-        return tracer
-
-
-def reset_registry(name: str | None = None) -> None:
-    """Drop one named tracer (or all of them) and deactivate if the
-    active tracer was dropped."""
+def enable(tracer: Tracer | None = None) -> Tracer:
+    """Activate ``tracer`` (a fresh ``Tracer("default")`` when
+    ``None``); returns the now-active tracer."""
     global _active
-    with _registry_lock:
-        if name is None:
-            dropped = list(_tracers.values())
-            _tracers.clear()
-        else:
-            dropped = [t for t in (_tracers.pop(name, None),) if t is not None]
-    if _active is not None and _active in dropped:
-        _active = None
-
-
-def enable(tracer: Tracer | str | None = None) -> Tracer:
-    """Activate tracing; returns the now-active tracer.
-
-    ``tracer`` may be a :class:`Tracer`, a registry name, or ``None``
-    for the registry's ``"default"`` tracer.
-    """
-    global _active
-    if tracer is None:
-        tracer = get_tracer("default")
-    elif isinstance(tracer, str):
-        tracer = get_tracer(tracer)
-    _active = tracer
-    return tracer
+    _active = Tracer("default") if tracer is None else tracer
+    return _active
 
 
 def disable() -> None:

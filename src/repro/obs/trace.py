@@ -3,7 +3,7 @@
 A :class:`Span` is one timed region of work.  Spans nest: entering a
 span while another is active on the same thread makes it a child, so a
 traced pipeline run exports as a tree (featurize -> featurize_corpus ->
-mapreduce -> partitions).  Each span carries three metric families:
+mapreduce.map).  Each span carries three metric families:
 
 * **counters** — monotonically accumulated values (``rows``,
   ``records_mapped``, ``degraded/<service>``);
@@ -13,7 +13,7 @@ mapreduce -> partitions).  Each span carries three metric families:
   (``latency_s/<service>``).
 
 A :class:`Tracer` owns one span tree and a per-thread span stack.
-Worker threads (e.g. MapReduce partitions) that open spans without an
+Worker threads (e.g. those of a threaded map) that open spans without an
 active parent on their own thread attach to the tracer root, so no
 measurement is lost to thread scheduling.  Everything exports to plain
 JSON-compatible dicts — no third-party dependencies.

@@ -113,12 +113,6 @@ class StaleValueCache:
         ``inserted_at`` from :meth:`entry`)."""
         return self._clock()
 
-    def clear(self) -> None:
-        """Drop every entry and reset the eviction counter."""
-        with self._lock:
-            self._values.clear()
-            self.evictions = 0
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._values)
@@ -126,7 +120,6 @@ class StaleValueCache:
 
 def build_substitute_map(
     resources: Iterable[OrganizationalResource],
-    substitute_numeric: bool = False,
 ) -> dict[str, list[OrganizationalResource]]:
     """Same-service-set, same-kind substitutes for each resource.
 
@@ -134,21 +127,20 @@ def build_substitute_map(
     Resources without a service set (or with no same-kind sibling) get
     an empty list.
 
-    Numeric features are excluded by default: two numeric siblings in a
+    Numeric features never substitute: two numeric siblings in a
     service set usually score on different scales (a historical *rate*
     vs. a raw *count*), so standing one in for the other poisons the
     column — measurably worse than a missing value (the chaos
     experiment shows an AUPRC cliff with numeric substitution on).
     Categorical token sets and same-dimension embeddings degrade far
-    more benignly.  Set ``substitute_numeric=True`` to opt in anyway.
+    more benignly.
     """
     resources = list(resources)
     substitutes: dict[str, list[OrganizationalResource]] = {}
     for resource in resources:
         spec = resource.spec
         subs = []
-        skip_kind = not substitute_numeric and spec.kind is FeatureKind.NUMERIC
-        if spec.service_set is not None and not skip_kind:
+        if spec.service_set is not None and spec.kind is not FeatureKind.NUMERIC:
             for other in resources:
                 if other.name == resource.name:
                     continue

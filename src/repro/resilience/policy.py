@@ -143,10 +143,6 @@ class DegradationReport:
         return sum(e.retries for e in self.events)
 
     @property
-    def n_fallbacks(self) -> int:
-        return self.n_degraded
-
-    @property
     def degraded_fraction(self) -> float:
         return self.n_degraded / self.n_cells if self.n_cells else 0.0
 

@@ -1,17 +1,17 @@
 """Sharded corpora: pickled point shards behind a JSON manifest.
 
 The corpus side of the sharded data plane: raw :class:`DataPoint`
-shards (pickle, like MapReduce partition payloads) plus a manifest of
-row ranges and refs.  ``build_sharded_corpus`` consumes a *streaming*
-iterator, so a 10⁶-point world can be generated and persisted without
-ever holding more than one shard of points — the shardscale experiment
-generates worlds exactly this way.
+shards (pickle) plus a manifest of row ranges and refs.
+``build_sharded_corpus`` consumes a *streaming* iterator, so a
+10⁶-point world can be generated and persisted without ever holding
+more than one shard of points — the shardscale experiment generates
+worlds exactly this way.
 """
 
 from __future__ import annotations
 
 import pickle
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.core.exceptions import CheckpointError, IntegrityError
 from repro.datagen.corpus import Corpus
@@ -85,14 +85,6 @@ class ShardedCorpus:
                 f"{len(points)} points; manifest records {expected}"
             )
         return points
-
-    def iter_shards(self) -> Iterator[Corpus]:
-        """Stream shard-sized corpora, one resident at a time."""
-        for index, (start, stop) in enumerate(self.ranges):
-            yield Corpus(
-                points=self.shard_points(index),
-                name=f"{self.name}[{start}:{stop}]",
-            )
 
     def rows(self, start: int, stop: int) -> list[DataPoint]:
         """Points of the global row range ``[start, stop)``, loading

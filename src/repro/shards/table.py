@@ -3,15 +3,13 @@
 A :class:`ShardedTable` is a handle, not a container: it holds one JSON
 manifest (schema, row count, shard ranges, shard artifact refs) and
 reads shards on demand from a :class:`~repro.runs.store.RunStore`.
-``iter_shards`` / ``iter_rows`` therefore stream with O(shard) resident
-memory, and the manifest's content hash pins every shard hash — the
-Merkle property checkpoint fingerprints chain over.  Every shard read
+The manifest's content hash pins every shard hash — the Merkle
+property checkpoint fingerprints chain over.  Every shard read
 goes through the store's verifying ``get_json`` / ``get_bytes``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import Any
 
 from repro.core.exceptions import CheckpointError, SchemaError
@@ -119,19 +117,6 @@ class ShardedTable:
             self._payloads = [self._read_shard(i) for i in range(self.n_shards)]
         return self._payloads
 
-    def shard(self, index: int) -> FeatureTable:
-        """Materialize one shard as a row-aligned :class:`FeatureTable`."""
-        return decode_table_shard(self.schema, *self._read_shard(index))
-
-    def iter_shards(self) -> Iterator[FeatureTable]:
-        for index in range(self.n_shards):
-            yield self.shard(index)
-
-    def iter_rows(self) -> Iterator[dict[str, object]]:
-        """Stream every row holding one shard in memory at a time."""
-        for shard in self.iter_shards():
-            yield from shard.iter_rows()
-
     def to_table(self) -> FeatureTable:
         """Materialize the full table (O(corpus) memory — for callers
         that genuinely need everything, e.g. graph curation).  Payloads
@@ -141,7 +126,8 @@ class ShardedTable:
         point_ids: list[int] = []
         modalities: list = []
         labels: list[int] = []
-        for shard in self.iter_shards():
+        for index in range(self.n_shards):
+            shard = decode_table_shard(self.schema, *self._read_shard(index))
             for name in self.schema.names:
                 columns[name].extend(shard.column(name))
             point_ids.extend(shard.point_ids.tolist())

@@ -1,7 +1,7 @@
 """Differential equivalence suite for the execution backends.
 
-Every parallel stage of the pipeline — featurization, MapReduce,
-graph construction, curation — is run on the serial, thread, and
+Every parallel stage of the pipeline — featurization, the per-record
+map, graph construction, curation — is run on the serial, thread, and
 process backends across worker counts, and the results are compared by
 :class:`RunStore` content hash (SHA-256 over the canonical artifact
 encoding).  Byte-identity of the hashes is the contract DESIGN.md §11
@@ -21,7 +21,7 @@ from repro.core.config import CurationConfig, PipelineConfig
 from repro.core.exceptions import RecordError
 from repro.core.pipeline import CrossModalPipeline
 from repro.core.rng import derive_seed
-from repro.dataflow.mapreduce import run_map, run_mapreduce
+from repro.dataflow.mapreduce import run_map
 from repro.exec import ExecutorConfig
 from repro.features.io import table_to_dict
 from repro.propagation.graph import GraphConfig, build_knn_graph
@@ -121,44 +121,8 @@ def test_featurize_sharded_differential(
 
 
 # ----------------------------------------------------------------------
-# MapReduce
+# run_map
 # ----------------------------------------------------------------------
-def _histogram_mapper(record):
-    return [(record % 7, record)]
-
-
-def _sum_combiner(key, values):
-    return [sum(values)]
-
-
-def _sorted_reducer(key, values):
-    return sorted(values)
-
-
-@pytest.mark.parametrize("backend,workers", GRID)
-def test_mapreduce_differential(backend, workers, store):
-    records = list(range(157))
-    expected = run_mapreduce(
-        records,
-        _histogram_mapper,
-        _sorted_reducer,
-        combiner=_sum_combiner,
-        n_partitions=5,
-    )
-    result = run_mapreduce(
-        records,
-        _histogram_mapper,
-        _sorted_reducer,
-        combiner=_sum_combiner,
-        n_partitions=5,
-        executor=ExecutorConfig(backend=backend, workers=workers),
-    )
-    assert (
-        store.put_json("mapreduce_output", result).hash
-        == store.put_json("mapreduce_output", expected).hash
-    )
-
-
 def _flaky_square(record):
     if record % 13 == 0:
         raise ValueError(f"poisoned record {record}")

@@ -1,21 +1,23 @@
-"""Property-based backend equivalence: random clean MapReduce programs
-must produce identical outputs and counters on the serial, thread, and
-process backends, and a poisoned record must fail the job with the same
-:class:`RecordError` — the earliest poisoned record and its index — on
-every backend.
+"""Property-based backend equivalence: random clean ``run_map``
+programs must produce identical outputs and ``records_mapped`` counts
+on the serial, thread, and process backends, and a poisoned record must
+fail the map with the same :class:`RecordError` — the earliest poisoned
+record and its index — on every backend.
 
-Mapper/combiner/reducer programs are drawn from a small space of
-picklable building blocks (module-level task objects, never closures)
-so every generated program is legal on the process backend.
+Programs are drawn from a small space of picklable building blocks
+(module-level task objects, never closures) so every generated program
+is legal on the process backend.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.core.exceptions import RecordError
-from repro.dataflow.mapreduce import MapReduceJob, run_map
+from repro.dataflow.mapreduce import run_map
 from repro.exec import ExecutorConfig
+from repro.obs import Tracer
 
 PARALLEL_BACKENDS = (
     ExecutorConfig(backend="thread", workers=3),
@@ -40,36 +42,26 @@ class _ModMapper:
         return [(record % self.m, record * self.scale)]
 
 
-def _sum_combiner(key, values):
-    return [sum(values)]
+class _DivMod:
+    """record -> divmod(record, m)."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        self.m = m
+
+    def __call__(self, record):
+        return divmod(record, self.m)
 
 
-def _identity_combiner(key, values):
-    return list(values)
-
-
-def _total_reducer(key, values):
-    return sum(values)
-
-
-def _list_reducer(key, values):
-    return list(values)
-
-
-_COMBINERS = (None, _sum_combiner, _identity_combiner)
-_REDUCERS = (_total_reducer, _list_reducer)
-
-
-def _run_job(records, mapper, combiner, reducer, n_partitions, executor):
-    job = MapReduceJob(
-        mapper=mapper,
-        reducer=reducer,
-        combiner=combiner,
-        n_partitions=n_partitions,
-        executor=executor,
-    )
-    output = job.run(records)
-    return output, dict(job.counters)
+def _map_traced(records, fn, executor):
+    """``run_map`` under a fresh tracer: (output, records_mapped)."""
+    tracer = obs.enable(Tracer("prop"))
+    try:
+        output = run_map(records, fn, executor=executor)
+    finally:
+        obs.disable()
+    return output, tracer.total_counters()["records_mapped"]
 
 
 @settings(max_examples=12, deadline=None)
@@ -77,45 +69,28 @@ def _run_job(records, mapper, combiner, reducer, n_partitions, executor):
     records=st.lists(st.integers(min_value=-50, max_value=200), max_size=60),
     m=st.integers(min_value=1, max_value=9),
     scale=st.integers(min_value=-3, max_value=3),
-    combiner_index=st.integers(min_value=0, max_value=len(_COMBINERS) - 1),
-    reducer_index=st.integers(min_value=0, max_value=len(_REDUCERS) - 1),
-    n_partitions=st.integers(min_value=1, max_value=6),
+    use_divmod=st.booleans(),
 )
 def test_random_mapreduce_programs_agree_across_backends(
-    records, m, scale, combiner_index, reducer_index, n_partitions
+    records, m, scale, use_divmod
 ):
-    mapper = _ModMapper(m, scale, 0)
-    combiner = _COMBINERS[combiner_index]
-    reducer = _REDUCERS[reducer_index]
-    base_output, base_counters = _run_job(
-        records, mapper, combiner, reducer, n_partitions, ExecutorConfig()
-    )
+    fn = _DivMod(m) if use_divmod else _ModMapper(m, scale, 0)
+    base = _map_traced(records, fn, ExecutorConfig())
+    assert base == ([fn(r) for r in records], len(records))
     for executor in PARALLEL_BACKENDS:
-        output, counters = _run_job(
-            records, mapper, combiner, reducer, n_partitions, executor
-        )
-        assert output == base_output
-        assert counters == base_counters
-    assert base_counters["records_mapped"] == len(records)
+        assert _map_traced(records, fn, executor) == base
 
 
 @settings(max_examples=10, deadline=None)
 @given(
     records=st.lists(st.integers(min_value=0, max_value=500), max_size=50),
     poison=st.sampled_from([2, 3, 7]),
-    n_partitions=st.integers(min_value=1, max_value=6),
 )
-def test_earliest_poisoned_record_raises_on_every_backend(
-    records, poison, n_partitions
-):
-    """``run_map`` and ``MapReduceJob`` fail on the earliest poisoned
-    record, with its index, on serial, thread, and process alike.  A
-    job maps partition by partition (record ``i`` lands in partition
-    ``i % n``), so its earliest record is the first in that order."""
+def test_earliest_poisoned_record_raises_on_every_backend(records, poison):
+    """``run_map`` fails on the earliest poisoned record, with its
+    index, on serial, thread, and process alike."""
     mapper = _ModMapper(3, 1, poison)
     poisoned = [i for i, r in enumerate(records) if r % poison == 0]
-    n = min(n_partitions, max(len(records), 1))
-    job_first = min(poisoned, key=lambda i: (i % n, i), default=None)
     for executor in (ExecutorConfig(),) + PARALLEL_BACKENDS:
         if not poisoned:
             assert run_map(records, mapper, executor=executor) == [
@@ -126,11 +101,6 @@ def test_earliest_poisoned_record_raises_on_every_backend(
             run_map(records, mapper, executor=executor)
         assert excinfo.value.index == poisoned[0]
         assert excinfo.value.record == records[poisoned[0]]
-        with pytest.raises(RecordError) as excinfo:
-            _run_job(
-                records, mapper, None, _total_reducer, n_partitions, executor
-            )
-        assert excinfo.value.index == job_first
 
 
 def test_error_identity_is_backend_free():

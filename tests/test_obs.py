@@ -1,4 +1,4 @@
-"""Tests for repro.obs — spans, counters, bench artifacts, registry."""
+"""Tests for repro.obs — spans, counters, bench artifacts, activation."""
 
 import json
 import threading
@@ -6,18 +6,16 @@ import threading
 import pytest
 
 import repro.obs as obs
-from repro.dataflow.mapreduce import run_mapreduce
+from repro.dataflow.mapreduce import run_map
 from repro.obs.trace import NOOP_SPAN, Histogram, Tracer
 
 
 @pytest.fixture(autouse=True)
-def _clean_registry():
+def _tracing_disabled():
     """Every test starts and ends with tracing disabled."""
     obs.disable()
-    obs.reset_registry()
     yield
     obs.disable()
-    obs.reset_registry()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,7 @@ def test_timed_records_a_span_when_enabled():
 
 
 # ---------------------------------------------------------------------------
-# registry
+# activation
 # ---------------------------------------------------------------------------
 
 
@@ -165,20 +163,6 @@ def test_enable_disable_roundtrip():
     obs.disable()
     assert not obs.enabled()
     assert obs.current() is None
-
-
-def test_get_tracer_is_idempotent_per_name():
-    a = obs.get_tracer("x")
-    assert obs.get_tracer("x") is a
-    assert obs.get_tracer("y") is not a
-    obs.reset_registry("x")
-    assert obs.get_tracer("x") is not a
-
-
-def test_enable_by_name_uses_the_registry():
-    tracer = obs.enable("named")
-    assert tracer is obs.get_tracer("named")
-    assert obs.current() is tracer
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +222,21 @@ def test_bench_artifact_schema(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_mapreduce_emits_job_and_partition_spans():
+def test_run_map_emits_a_map_span():
     tracer = obs.enable(Tracer("t"))
-
-    def mapper(line):
-        for word in line.split():
-            yield word, 1
-
-    result = run_mapreduce(
-        ["a b a", "b c", "a"], mapper, lambda k, vs: sum(vs), n_partitions=2
-    )
-    assert result == {"a": 3, "b": 2, "c": 1}
-    jobs = tracer.find_spans("mapreduce.job")
-    assert len(jobs) == 1
-    partitions = tracer.find_spans("mapreduce.partition")
-    assert len(partitions) == 2
+    result = run_map(["a b a", "b c", "a"], str.split)
+    assert result == [["a", "b", "a"], ["b", "c"], ["a"]]
+    (span,) = tracer.find_spans("mapreduce.map")
+    assert span.attrs["n_records"] == 3
+    assert span.counters == {"records_mapped": 3}
     assert tracer.total_counters()["records_mapped"] == 3
 
 
 def test_untraced_mapreduce_result_is_identical():
-    def mapper(line):
-        for word in line.split():
-            yield word, 1
-
     lines = ["a b a", "b c", "a"]
-    untraced = run_mapreduce(lines, mapper, lambda k, vs: sum(vs))
+    untraced = run_map(lines, str.split)
     obs.enable(Tracer("t"))
-    traced = run_mapreduce(lines, mapper, lambda k, vs: sum(vs))
+    traced = run_map(lines, str.split)
     assert untraced == traced
 
 

@@ -13,11 +13,6 @@ unsharded stage, across
 * Hypothesis-generated corpus prefixes and shard boundaries;
 * a kill at every shard boundary followed by a resume, which must
   adopt the pre-crash shards verbatim and finish bit-identical.
-
-MapReduce equivalence holds for jobs whose reducer output is invariant
-under combiner pre-aggregation (the classic combiner contract —
-documented on :func:`repro.shards.run_mapreduce_sharded`), so the jobs
-here are sum/count jobs.
 """
 
 from __future__ import annotations
@@ -34,22 +29,13 @@ from repro.core.config import CurationConfig, PipelineConfig
 from repro.core.exceptions import SimulatedCrashError
 from repro.core.pipeline import CrossModalPipeline
 from repro.datagen.corpus import Corpus
-from repro.dataflow.mapreduce import run_mapreduce
 from repro.exec import ExecutorConfig
 from repro.features.io import table_to_dict
-from repro.features.schema import FeatureKind
-from repro.labeling.lf import LabelingFunction
-from repro.labeling.matrix import apply_lfs
 from repro.resources.featurize import featurize_corpus
 from repro.runs import ProgressManifest, RunCheckpointer
 from repro.runs.crash import CRASH_AT_ENV, CRASH_MODE_ENV
 from repro.runs.store import RunStore
-from repro.shards import (
-    apply_lfs_sharded,
-    build_sharded_corpus,
-    featurize_corpus_sharded,
-    run_mapreduce_sharded,
-)
+from repro.shards import build_sharded_corpus, featurize_corpus_sharded
 
 _ALL_BACKENDS = ("serial", "thread", "process")
 _env = os.environ.get("REPRO_EXEC_BACKENDS", "").strip()
@@ -90,10 +76,6 @@ def _table_hash(store, table) -> str:
     return store.put_json("feature_table", table_to_dict(table)).hash
 
 
-def _votes_hash(store, votes: np.ndarray) -> str:
-    return store.put_bytes("votes_blob", np.ascontiguousarray(votes).tobytes()).hash
-
-
 # ----------------------------------------------------------------------
 # inputs: a small corpus prefix so the full grid stays fast
 # ----------------------------------------------------------------------
@@ -112,29 +94,6 @@ def resources(tiny_catalog):
 def baseline_table(corpus, resources):
     """The unsharded, serial oracle every grid cell compares against."""
     return featurize_corpus(corpus, resources, seed=SEED, include_labels=True)
-
-
-def _threshold_lfs(schema) -> list[LabelingFunction]:
-    numeric = [s.name for s in schema if s.kind is FeatureKind.NUMERIC]
-    lo, hi = numeric[0], numeric[1]
-
-    def vote_lo(row, name=lo):
-        value = row.get(name)
-        return 1 if value is not None and float(value) > 0.1 else 0
-
-    def vote_hi(row, name=hi):
-        value = row.get(name)
-        return -1 if value is not None and float(value) > 0.2 else 0
-
-    return [
-        LabelingFunction(f"lf_{lo}_gt", vote_lo, depends_on=(lo,)),
-        LabelingFunction(f"lf_{hi}_gt", vote_hi, depends_on=(hi,)),
-    ]
-
-
-@pytest.fixture(scope="module")
-def lfs(baseline_table):
-    return _threshold_lfs(baseline_table.schema)
 
 
 # ----------------------------------------------------------------------
@@ -194,69 +153,6 @@ def test_featurize_from_sharded_corpus_matches(
 
 
 # ----------------------------------------------------------------------
-# LF application
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend,shard_size", GRID)
-def test_apply_lfs_sharded_differential(
-    backend, shard_size, corpus, resources, baseline_table, lfs, store
-):
-    expected = apply_lfs(lfs, baseline_table)
-    sharded_table = featurize_corpus_sharded(
-        corpus,
-        resources,
-        store,
-        _resolve(shard_size, len(corpus.points)),
-        seed=SEED,
-        include_labels=True,
-    )
-    result = apply_lfs_sharded(
-        lfs, sharded_table, executor=_executor(backend), store=store
-    )
-    assert result.matrix.lf_names == expected.lf_names
-    assert _votes_hash(store, result.matrix.votes) == _votes_hash(
-        store, expected.votes
-    )
-
-
-# ----------------------------------------------------------------------
-# MapReduce over shard batches (combiner-invariant sum/count job)
-# ----------------------------------------------------------------------
-def _bucket_mapper(record):
-    return [(record % 7, 1), (record % 3, record)]
-
-
-def _sum_combiner(key, values):
-    return [sum(values)]
-
-
-def _sum_reducer(key, values):
-    return sum(values)
-
-
-@pytest.mark.parametrize("backend,shard_size", GRID)
-def test_mapreduce_sharded_differential(backend, shard_size, store):
-    records = list(range(157))
-    expected = run_mapreduce(
-        records, _bucket_mapper, _sum_reducer, combiner=_sum_combiner
-    )
-    size = _resolve(shard_size, len(records))
-    batches = (
-        records[start : start + size] for start in range(0, len(records), size)
-    )
-    result = run_mapreduce_sharded(
-        batches,
-        _bucket_mapper,
-        _sum_reducer,
-        combiner=_sum_combiner,
-        executor=_executor(backend),
-    )
-    assert (
-        store.put_json("mapreduce_output", result).hash
-        == store.put_json("mapreduce_output", expected).hash
-    )
-
-
-# ----------------------------------------------------------------------
 # Hypothesis: corpus prefixes × shard boundaries
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
@@ -277,26 +173,6 @@ def test_featurize_sharded_equivalence_property(
         prefix, resources, store, shard_size, seed=SEED, include_labels=True
     )
     assert _table_hash(store, sharded.to_table()) == _table_hash(store, expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    records=st.lists(st.integers(min_value=-50, max_value=200), max_size=60),
-    boundaries=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
-)
-def test_mapreduce_sharded_equivalence_property(records, boundaries, tmp_path_factory):
-    """Arbitrary (even empty or uneven) batch boundaries never change a
-    sum/count MapReduce output."""
-    cuts = sorted(b for b in boundaries if b <= len(records))
-    edges = [0, *cuts, len(records)]
-    batches = [records[a:b] for a, b in zip(edges, edges[1:])]
-    expected = run_mapreduce(
-        records, _bucket_mapper, _sum_reducer, combiner=_sum_combiner
-    )
-    result = run_mapreduce_sharded(
-        batches, _bucket_mapper, _sum_reducer, combiner=_sum_combiner
-    )
-    assert result == expected
 
 
 # ----------------------------------------------------------------------
@@ -345,29 +221,6 @@ def test_featurize_kill_at_shard_boundary_resumes_bit_identical(
         corpus, resources, clean_store, 7, seed=SEED, include_labels=True
     )
     assert resumed.shard_hashes() == clean.shard_hashes()
-
-
-def test_votes_kill_at_shard_boundary_resumes_bit_identical(
-    corpus, resources, baseline_table, lfs, store, monkeypatch
-):
-    sharded_table = featurize_corpus_sharded(
-        corpus, resources, store, 7, seed=SEED, include_labels=True
-    )
-    expected = apply_lfs(lfs, baseline_table)
-
-    monkeypatch.setenv(CRASH_MODE_ENV, "raise")
-    monkeypatch.setenv(CRASH_AT_ENV, "shard:votes:4")
-    with pytest.raises(SimulatedCrashError):
-        apply_lfs_sharded(
-            lfs, sharded_table, store=store, progress=_progress(store, "votes")
-        )
-    monkeypatch.delenv(CRASH_AT_ENV)
-    resumed = apply_lfs_sharded(
-        lfs, sharded_table, store=store, progress=_progress(store, "votes")
-    )
-    assert _votes_hash(store, resumed.matrix.votes) == _votes_hash(
-        store, expected.votes
-    )
 
 
 def test_progress_job_key_mismatch_discards_stale_shards(

@@ -259,7 +259,6 @@ def test_write_table_roundtrips_through_shards(tmp_path):
     for spec in table.schema:
         _columns_equal(table.column(spec.name), back.column(spec.name), spec.kind)
     assert list(back.point_ids) == list(table.point_ids)
-    assert sum(1 for _ in sharded.iter_rows()) == 11
 
 
 def test_manifest_pins_shard_hashes(tmp_path):
